@@ -28,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import json
 from collections import deque
-from typing import Deque, Dict, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +50,12 @@ from repro.service.codec import (
     decode_message,
     encode_message,
 )
-from repro.service.net.stream import MAX_FRAME_BYTES, read_frame, write_frame
+from repro.service.net.stream import (
+    MAX_FRAME_BYTES,
+    _read_frames,
+    read_frame,
+    write_frame,
+)
 from repro.service.policy import RetryPolicy
 from repro.utils.serialization import encode_fields
 
@@ -370,7 +375,14 @@ class AuthClient:
         Mirrors :meth:`AuthService.authenticate_batch` (and therefore
         :meth:`BatchVerifier.authenticate_fleet`) semantics: respond,
         verify, confirm, finalize/abort — every message crossing the
-        socket.
+        socket, one write per phase: ``open-round``, then every
+        RESPONSE with ``close-round``, then every ack.  Each device
+        checks its confirmation locally first; a device whose check
+        fails is acked with ``abort``, the rest with ``finalize``, each
+        fenced by its round token.  The acks are pipelined in one write
+        and their results awaited in request order; the first refused
+        ack then raises :class:`RemoteAuthError`, so one refusal never
+        leaves the devices behind it unacked.
         """
         devices = list(devices)
         ids = [device.device_id for device in devices]
@@ -379,10 +391,12 @@ class AuthClient:
         report, confirmations = await self.verify_round_wire(
             [encode_message(message) for message in messages])
         by_id = {device.device_id: device for device in devices}
+        acks = []
         for device_id, mac in list(confirmations.items()):
             device = by_id.get(device_id)
             if device is None:
                 continue
+            token = {"round": nonces[device_id]}
             try:
                 device.confirm(mac, nonces[device_id])
             except AuthenticationFailure as failure:
@@ -391,9 +405,11 @@ class AuthClient:
                     AuthenticationFailure(f"confirmation: {failure}",
                                           failure.kind))
                 report.confirmations.pop(device_id, None)
-                await self.abort(device_id, token=nonces[device_id])
+                acks.append(SessionRequest("abort", device_id, token))
                 continue
-            await self.finalize(device_id, token=nonces[device_id])
+            acks.append(SessionRequest("finalize", device_id, token))
+        for result in await self._call_all(acks):
+            self._raise_if_failed(result)
         return report
 
     # -- transport-level wire-round verbs (gateway mode) ------------------
@@ -431,12 +447,8 @@ class AuthClient:
             raise RemoteAuthError("no gateway round open",
                                   FailureKind.NO_SESSION)
         try:
-            async with self._send_lock:
-                for frame in frames:
-                    write_frame(self._writer, frame)
-                write_frame(self._writer, encode_message(
-                    SessionRequest("close-round")))
-                await self._writer.drain()
+            await self._send_frames(
+                *frames, encode_message(SessionRequest("close-round")))
             report = await asyncio.wait_for(round_.report, self._timeout)
         finally:
             self._round = None
@@ -480,13 +492,18 @@ class AuthClient:
 
     # -- plumbing ---------------------------------------------------------
 
-    async def _send(self, message) -> None:
+    async def _send(self, *messages) -> None:
+        await self._send_frames(*[encode_message(message)
+                                  for message in messages])
+
+    async def _send_frames(self, *frames: bytes) -> None:
+        """Write frames in one write and one drain."""
         if self._closed:
             raise self._close_error or RemoteAuthError(
                 "connection closed", FailureKind.CONNECTION_LOST)
         try:
             async with self._send_lock:
-                write_frame(self._writer, encode_message(message))
+                write_frame(self._writer, *frames)
                 await self._writer.drain()
         except ConnectionError as exc:
             raise RemoteAuthError(f"connection lost: {exc}",
@@ -501,9 +518,21 @@ class AuthClient:
     async def _call(self, verb: str, device_id: str = "",
                     params: Optional[Dict[str, bytes]] = None,
                     ) -> SessionResult:
-        future = self._expect(verb, device_id)
-        await self._send(SessionRequest(verb, device_id, params or {}))
-        return await asyncio.wait_for(future, self._timeout)
+        (result,) = await self._call_all(
+            [SessionRequest(verb, device_id, params or {})])
+        return result
+
+    async def _call_all(self, requests: Sequence[SessionRequest],
+                        ) -> List[SessionResult]:
+        """Pipeline requests in one write; their results, in request
+        order, within one verb timeout."""
+        if not requests:
+            return []
+        futures = [self._expect(request.verb, request.device_id)
+                   for request in requests]
+        await self._send(*requests)
+        return await asyncio.wait_for(asyncio.gather(*futures),
+                                      self._timeout)
 
     @staticmethod
     def _raise_if_failed(result: SessionResult) -> None:
@@ -531,16 +560,18 @@ class AuthClient:
     # -- the background reader -------------------------------------------
 
     async def _read_loop(self) -> None:
+        inbox = bytearray()
         try:
             while True:
-                frame = await read_frame(self._reader,
-                                         max_bytes=self._max_frame_bytes)
-                if frame is None:
+                frames = await _read_frames(self._reader, inbox,
+                                            max_bytes=self._max_frame_bytes)
+                if frames is None:
                     self._fail_all(RemoteAuthError(
                         "server closed the connection",
                         FailureKind.CONNECTION_LOST))
                     return
-                await self._handle_frame(decode_message(frame))
+                for frame in frames:
+                    await self._handle_frame(decode_message(frame))
         except asyncio.CancelledError:
             raise
         except AuthenticationFailure as failure:

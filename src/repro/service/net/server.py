@@ -32,22 +32,38 @@ A wire micro-round is the protocol's Fig. 4 exchange, scattered:
    ``FailureKind`` taxonomy);
 6. each device acks with ``REQUEST(finalize)`` (or ``abort``) to
    commit the two-phase CRP roll; a connection that dies before its
-   ack is aborted, keeping both sides on the old CRP.
+   ack is aborted, keeping both sides on the old CRP.  The same holds
+   for the confirmations of an explicit gateway round
+   (``open-round``/``close-round``).
+
+Gateway rounds
+--------------
+A gateway drives a whole device group on one connection, and its frame
+traffic grows with the round's phases, not its devices: ``open-round``
+answers with every ``CHALLENGE`` plus its ``RESULT`` in one write, and
+``close-round`` with every ``CONFIRMATION`` plus the ``REPORT``.  The
+verb loop reads in bulk — every complete frame the socket delivered —
+dispatches those frames in order and writes the replies they produce
+together once they are done, so a gateway's pipelined ``finalize``
+acks get their ``RESULT`` frames back in one write too.  Held replies
+go out early once they reach ``write_high_bytes``, before the loop
+waits on the backpressure gate, and before it closes a connection, so
+a ``REJECT`` and the replies ahead of it still arrive.
 
 Isolation and flow control
 --------------------------
 Hostile sockets never poison a round: malformed frames get a
 taxonomy-coded ``REJECT`` and only *that* connection closes; truncated
-frames and slow-loris trickles time out per-socket
-(:func:`~repro.service.net.stream.read_frame`); a device that never
-answers its challenge is settled as failed while the rest of its
-micro-round completes.  Per-connection flow control is two-sided:
-reads pause above ``pending_high`` queued-but-unflushed requests
-(resuming at ``pending_low``), and writes run under bounded transport
-buffers (``set_write_buffer_limits``) with drain timeouts, so one slow
-or stuck peer cannot pin a round or the server's memory.  Shutdown
-drains: pending tickets flush, in-flight rounds finish, and unacked
-confirmations are aborted before the loop stops.
+frames and slow-loris trickles time out per-socket (the guards of
+:mod:`repro.service.net.stream` hold for every frame of a bulk read);
+a device that never answers its challenge is settled as failed while
+the rest of its micro-round completes.  Per-connection flow control is
+two-sided: reads pause above ``pending_high`` queued-but-unflushed
+requests (resuming at ``pending_low``), and writes run under bounded
+transport buffers (``set_write_buffer_limits``) with drain timeouts, so
+one slow or stuck peer cannot pin a round or the server's memory.
+Shutdown drains: pending tickets flush, in-flight rounds finish, and
+unacked confirmations are aborted before the loop stops.
 """
 
 from __future__ import annotations
@@ -76,7 +92,12 @@ from repro.service.codec import (
     encode_message,
     negotiate_version,
 )
-from repro.service.net.stream import MAX_FRAME_BYTES, read_frame, write_frame
+from repro.service.net.stream import (
+    MAX_FRAME_BYTES,
+    _read_frames,
+    read_frame,
+    write_frame,
+)
 from repro.service.policy import run_hooks
 from repro.utils.serialization import decode_fields
 
@@ -183,16 +204,29 @@ class _Connection:
         self.explicit: Optional["_ExplicitRound"] = None
         self.spot_pending: Dict[str, Tuple[np.ndarray, float]] = {}
         self.ack_pending: Set[str] = set()
+        self.inbox = bytearray()         # bytes read past the last frame
+        # Replies held while the verb loop dispatches one read's frames.
+        self.held: Optional[List[bytes]] = None
+        self.held_bytes = 0
         self._write_lock = asyncio.Lock()
 
-    async def send(self, frame: bytes) -> bool:
-        """Write one frame; ``False`` (and close) if the peer is gone
-        or too slow to drain — a stuck writer must not pin a round."""
+    async def send(self, *frames: bytes) -> bool:
+        """Write frames in one write; ``False`` (and close) if the peer
+        is gone or too slow to drain — a stuck writer must not pin a
+        round.  While replies are held the frames join them instead;
+        once they reach ``write_high_bytes`` every held frame is written,
+        so a peer that never reads cannot pin more than that."""
         if self.closed:
             return False
+        if self.held is not None:
+            self.held.extend(frames)
+            self.held_bytes += sum(map(len, frames))
+            if self.held_bytes < self.server.config.write_high_bytes:
+                return True
+            frames, self.held, self.held_bytes = tuple(self.held), [], 0
         try:
             async with self._write_lock:
-                write_frame(self.writer, frame)
+                write_frame(self.writer, *frames)
                 await asyncio.wait_for(self.writer.drain(),
                                        self.server.config.frame_timeout_s)
         except (ConnectionError, asyncio.TimeoutError, RuntimeError):
@@ -203,12 +237,21 @@ class _Connection:
     async def send_message(self, message: WireMessage) -> bool:
         return await self.send(encode_message(message))
 
+    async def release(self) -> None:
+        """Stop holding replies and write the held ones."""
+        held, self.held, self.held_bytes = self.held, None, 0
+        if held:
+            await self.send(*held)
+
     def close(self) -> None:
         if self.closed:
             return
         self.closed = True
+        held, self.held, self.held_bytes = self.held, None, 0
         self.gate.set()  # unblock a parked read so the handler exits
         try:
+            if held:
+                write_frame(self.writer, *held)
             self.writer.close()
         except RuntimeError:
             pass
@@ -519,8 +562,7 @@ class AuthServer:
                 # any later unambiguous abort (see BatchVerifier.abort).
                 self.service.verifier.expose(device_id)
                 if await conn.send(confirmation_frames[device_id]):
-                    conn.ack_pending.add(device_id)
-                    self._ack_pending.add((conn, device_id))
+                    self._await_ack(conn, device_id)
                     self.metrics.auths_accepted += 1
                 else:
                     self._abort_unacked(conn, device_id)
@@ -558,6 +600,14 @@ class AuthServer:
                     "kind": kind.encode("utf-8")},
         ))
 
+    def _await_ack(self, conn: _Connection, device_id: str) -> None:
+        conn.ack_pending.add(device_id)
+        self._ack_pending.add((conn, device_id))
+
+    def _acked(self, conn: _Connection, device_id: str) -> None:
+        conn.ack_pending.discard(device_id)
+        self._ack_pending.discard((conn, device_id))
+
     def _abort_unacked(self, conn: _Connection, device_id: str) -> None:
         # The confirmation may already have reached the device before the
         # connection died, so this abort is *ambiguous*: when the
@@ -565,8 +615,7 @@ class AuthServer:
         # survives, and the device's next message settles which side of
         # the commit it landed on (see BatchVerifier._recover_interrupted).
         self.metrics.acks_aborted += 1
-        conn.ack_pending.discard(device_id)
-        self._ack_pending.discard((conn, device_id))
+        self._acked(conn, device_id)
         self.service.verifier.abort(device_id, ambiguous=True)
 
     # -- connection handling ---------------------------------------------
@@ -664,10 +713,10 @@ class AuthServer:
             if conn.closed:
                 break
             try:
-                frame = await read_frame(conn.reader,
-                                         max_bytes=config.max_frame_bytes,
-                                         idle_timeout=None,
-                                         frame_timeout=config.frame_timeout_s)
+                frames = await _read_frames(
+                    conn.reader, conn.inbox,
+                    max_bytes=config.max_frame_bytes,
+                    frame_timeout=config.frame_timeout_s)
             except CodecError as failure:
                 await self._reject(conn, failure.kind, str(failure))
                 break
@@ -675,23 +724,34 @@ class AuthServer:
                 await self._reject(conn, FailureKind.MALFORMED,
                                    "frame did not complete in time")
                 break
-            if frame is None:
+            if frames is None:
                 break
+            # One read's replies go out in one write, after its frames.
+            conn.held = []
             try:
-                message = decode_message(frame)
-            except CodecError as failure:
-                await self._reject(conn, failure.kind, str(failure))
-                break
-            if not await self._dispatch(conn, message):
-                break
+                for frame in frames:
+                    if not conn.gate.is_set():
+                        await conn.release()
+                        await conn.gate.wait()
+                        if conn.closed:
+                            return
+                        conn.held = []
+                    if not await self._dispatch(conn, frame):
+                        return
+            finally:
+                await conn.release()
 
-    async def _dispatch(self, conn: _Connection,
-                        message: WireMessage) -> bool:
-        """Handle one decoded frame; ``False`` closes the connection."""
+    async def _dispatch(self, conn: _Connection, frame: bytes) -> bool:
+        """Handle one frame; ``False`` closes the connection."""
         from repro.fleet.verifier import AuthResponse
+        try:
+            message = decode_message(frame)
+        except CodecError as failure:
+            await self._reject(conn, failure.kind, str(failure))
+            return False
         if isinstance(message, AuthResponse):
             try:
-                self._route_response(conn, message)
+                self._route_response(conn, message.device_id, frame)
             except CodecError as failure:
                 await self._reject(conn, failure.kind, str(failure))
                 return False
@@ -713,15 +773,18 @@ class AuthServer:
                            f"unexpected {type(message).__name__} frame")
         return False
 
-    def _route_response(self, conn: _Connection, message) -> None:
+    def _route_response(self, conn: _Connection, device_id: str,
+                        frame: bytes) -> None:
+        # The received frame goes to the round as is: verify_round_wire
+        # decodes it there.
         if conn.explicit is not None:
             if len(conn.explicit.frames) >= conn.explicit.max_frames:
                 raise CodecError("explicit round overflow")
-            conn.explicit.frames.append(encode_message(message))
+            conn.explicit.frames.append(frame)
             return
-        queue = conn.routes.get(message.device_id)
+        queue = conn.routes.get(device_id)
         if queue:
-            queue[0].deliver(message.device_id, encode_message(message))
+            queue[0].deliver(device_id, frame)
         # else: unsolicited — drop silently; it must not poison anything.
 
     async def _handle_request(self, conn: _Connection,
@@ -814,10 +877,11 @@ class AuthServer:
                    for raw in decode_fields(params.get("ids", b""))]
             nonces, challenge_frames = self.service.open_round_wire(ids)
             conn.explicit = _ExplicitRound(nonces)
-            for round_device in nonces:
-                await conn.send(challenge_frames[round_device])
-            await conn.send_message(SessionResult(
-                "open-round", detail={"count": str(len(nonces)).encode()}))
+            await conn.send(
+                *[challenge_frames[round_device] for round_device in nonces],
+                encode_message(SessionResult(
+                    "open-round",
+                    detail={"count": str(len(nonces)).encode()})))
             return
         if verb == "close-round":
             explicit = conn.explicit
@@ -829,10 +893,13 @@ class AuthServer:
             report_frame, confirmation_frames = \
                 self.service.verify_round_wire(explicit.frames,
                                                explicit.nonces)
-            for accepted_id, frame in confirmation_frames.items():
+            for accepted_id in confirmation_frames:
+                # Expose and await the ack before the frames are written,
+                # as a micro-round does: a connection that dies from here
+                # on aborts these sessions (ambiguously) on teardown.
                 self.service.verifier.expose(accepted_id)
-                await conn.send(frame)
-            await conn.send(report_frame)
+                self._await_ack(conn, accepted_id)
+            await conn.send(*confirmation_frames.values(), report_frame)
             return
         if verb == "finalize":
             # The "round" param (the challenge nonce) fences the ack to
@@ -840,15 +907,13 @@ class AuthServer:
             # finalize must not commit a later pending session.
             self.service.verifier.finalize(device_id,
                                            token=params.get("round"))
-            conn.ack_pending.discard(device_id)
-            self._ack_pending.discard((conn, device_id))
+            self._acked(conn, device_id)
             await conn.send_message(SessionResult("finalize", device_id))
             return
         if verb == "abort":
             self.service.verifier.abort(device_id,
                                         token=params.get("round"))
-            conn.ack_pending.discard(device_id)
-            self._ack_pending.discard((conn, device_id))
+            self._acked(conn, device_id)
             await conn.send_message(SessionResult("abort", device_id))
             return
         if verb in ("metrics", "trace"):

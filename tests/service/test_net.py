@@ -277,6 +277,34 @@ class TestGatewayRounds:
                             [service.device_list[1].device_id])
         run(main())
 
+    def test_writes_per_round_do_not_grow_with_the_group(self, monkeypatch):
+        # One write per round phase on each side: open-round, RESPONSEs
+        # with close-round, the acks; and their replies.
+        from repro.service.net import client as client_mod
+        from repro.service.net import server as server_mod
+
+        writes = {"server": 0, "client": 0}
+        for side, module in (("server", server_mod), ("client", client_mod)):
+            def counting(writer, *frames, _side=side,
+                         _write=module.write_frame):
+                writes[_side] += 1
+                _write(writer, *frames)
+            monkeypatch.setattr(module, "write_frame", counting)
+
+        async def writes_per_round(n_devices):
+            service = provision(n_devices=n_devices)
+            async with AuthServer(service) as server:
+                async with AuthClient.connect(
+                        "127.0.0.1", server.port) as client:
+                    writes.update(server=0, client=0)
+                    report = await client.authenticate_batch(
+                        service.device_list)
+                    assert report.n_accepted == n_devices
+                    return dict(writes)
+        small = run(writes_per_round(8))
+        large = run(writes_per_round(64))
+        assert small == large == {"server": 3, "client": 3}
+
 
 class TestBackpressureAndShutdown:
     def test_reads_pause_past_high_watermark(self):
@@ -378,6 +406,35 @@ class TestBackpressureAndShutdown:
         before, after, metrics = run(main())
         assert after == before          # aborted, not rolled
         assert metrics.acks_aborted == 1
+
+    def test_connection_loss_aborts_unacked_gateway_confirmations(self):
+        # A gateway that vanishes between close-round and its acks: every
+        # confirmation it got is aborted, exactly as in a micro-round.
+        from repro.fleet.rounds import respond_round
+        from repro.service import encode_message
+
+        async def main():
+            service = provision(n_devices=8)
+            devices = service.device_list
+            sessions = [int(service.registry.record(d.device_id).sessions)
+                        for d in devices]
+            async with AuthServer(service) as server:
+                client = await AuthClient.connect("127.0.0.1", server.port)
+                nonces = await client.open_round_wire(
+                    [device.device_id for device in devices])
+                report, confirmations = await client.verify_round_wire(
+                    [encode_message(message)
+                     for message in respond_round(devices, nonces)])
+                await client.aclose()
+            after = [int(service.registry.record(d.device_id).sessions)
+                     for d in devices]
+            return (report, confirmations, server.metrics,
+                    service.verifier, sessions, after)
+        report, confirmations, metrics, verifier, before, after = run(main())
+        assert report.n_accepted == len(confirmations) == 8
+        assert metrics.acks_aborted == 8
+        assert verifier._pending == {}
+        assert after == before          # aborted, not rolled
 
 
 class TestMetricsShape:

@@ -16,11 +16,14 @@ import pytest
 
 from repro.protocols.mutual_auth import FailureKind
 from repro.service import (
+    AuthChallenge,
+    AuthConfirmation,
     AuthService,
     FleetConfig,
     SessionHello,
     SessionReject,
     SessionRequest,
+    SessionResult,
     decode_message,
     encode_message,
 )
@@ -61,6 +64,14 @@ async def server_reply(reader):
         return await asyncio.wait_for(read_frame(reader), 10)
     except Exception:
         return None
+
+
+async def welcomed_connection(server, peer):
+    reader, writer = await raw_connection(server)
+    write_frame(writer, encode_message(SessionHello(peer)))
+    await writer.drain()
+    await server_reply(reader)                           # WELCOME
+    return reader, writer
 
 
 class TestFragmentationAndTruncation:
@@ -330,3 +341,148 @@ class TestConcurrentDuplicates:
                 return decode_message(reply)
         result = run(main())
         assert result.verb == "poll"
+
+
+class TestBulkReads:
+    """The verb loop reads every frame one socket read delivered; each
+    of them still passes every per-frame guard."""
+
+    def test_one_write_of_requests_still_pauses_reads(self):
+        async def main():
+            service = provision(n_devices=8, latency_budget_s=0.005)
+            devices = {device.device_id: device
+                       for device in service.device_list}
+            config = NetConfig(pending_high=2, pending_low=1)
+            async with AuthServer(service, config) as server:
+                reader, writer = await welcomed_connection(server, "bulk")
+                write_frame(writer, *[
+                    encode_message(SessionRequest("auth", device_id))
+                    for device_id in devices],
+                    encode_message(SessionRequest("flush")))
+                await writer.drain()
+                nonces, settled = {}, {}
+                while len(settled) < len(devices):
+                    message = decode_message(
+                        await asyncio.wait_for(read_frame(reader), 10))
+                    device_id = getattr(message, "device_id", "")
+                    if isinstance(message, AuthChallenge):
+                        nonces[device_id] = message.nonce
+                        write_frame(writer, encode_message(
+                            devices[device_id].respond(message.nonce)))
+                    elif isinstance(message, AuthConfirmation):
+                        devices[device_id].confirm(message.mac,
+                                                   nonces[device_id])
+                        write_frame(writer, encode_message(SessionRequest(
+                            "finalize", device_id,
+                            {"round": nonces[device_id]})))
+                        settled[device_id] = True
+                    elif (isinstance(message, SessionResult)
+                          and message.verb == "auth"):
+                        settled[device_id] = False
+                    await writer.drain()
+                writer.close()
+                await writer.wait_closed()
+            return settled, server.metrics
+        settled, metrics = run(main())
+        assert metrics.reads_paused >= 1
+        assert all(settled.values())
+
+    def test_oversized_prefix_behind_valid_frames(self):
+        async def main():
+            service = provision()
+            config = NetConfig(max_frame_bytes=1024)
+            async with AuthServer(service, config) as server:
+                reader, writer = await welcomed_connection(server, "big")
+                writer.write(framed(SessionRequest("trace"))
+                             + framed(SessionRequest("trace"))
+                             + _LENGTH.pack(1 << 30))
+                await writer.drain()
+                replies = [decode_message(await server_reply(reader))
+                           for __ in range(3)]
+                eof = await asyncio.wait_for(read_frame(reader), 10)
+                return replies, eof
+        replies, eof = run(main())
+        assert [reply.verb for reply in replies[:2]] == ["trace", "trace"]
+        assert isinstance(replies[2], SessionReject)
+        assert replies[2].kind == FailureKind.MALFORMED.value
+        assert eof is None
+
+    def test_slow_loris_behind_a_complete_frame(self):
+        async def main():
+            service = provision()
+            config = NetConfig(frame_timeout_s=0.15)
+            async with AuthServer(service, config) as server:
+                reader, writer = await welcomed_connection(server, "loris")
+                partial = framed(SessionRequest("trace"))
+                writer.write(framed(SessionRequest("trace")) + partial[:2])
+                await writer.drain()
+
+                async def trickle():
+                    # One byte per 50 ms: the partial frame would take
+                    # far longer than the frame timeout to complete.
+                    for byte in partial[2:-1]:
+                        await asyncio.sleep(0.05)
+                        writer.write(bytes([byte]))
+                        await writer.drain()
+
+                dripping = asyncio.get_running_loop().create_task(trickle())
+                try:
+                    answer = decode_message(await server_reply(reader))
+                    reject = decode_message(await server_reply(reader))
+                    trickling = not dripping.done()
+                finally:
+                    dripping.cancel()
+                    await asyncio.gather(dripping, return_exceptions=True)
+                try:
+                    eof = await asyncio.wait_for(read_frame(reader), 10)
+                except ConnectionResetError:
+                    eof = None      # trickled bytes the server never read
+                return answer, reject, trickling, eof, server.metrics
+        answer, reject, trickling, eof, metrics = run(main())
+        assert answer.verb == "trace"
+        assert trickling                # the timeout fired mid-trickle
+        assert isinstance(reject, SessionReject)
+        assert reject.kind == FailureKind.MALFORMED.value
+        assert eof is None
+        assert metrics.rejected_connections == 1
+
+    def test_a_peer_that_never_reads_is_cut_off_with_bounded_writes(
+            self, monkeypatch):
+        # Thousands of metrics scrapes in one write, each answered with
+        # the whole rendered registry, and the peer never reads: the
+        # replies go out in slices of the write watermark, a drain stalls
+        # and the connection is cut off — the server never builds the
+        # replies to a whole read in memory.
+        from repro.service.net import server as server_mod
+
+        writes = []
+
+        def recording(writer, *frames, _write=server_mod.write_frame):
+            writes.append(sum(map(len, frames)))
+            _write(writer, *frames)
+        monkeypatch.setattr(server_mod, "write_frame", recording)
+        config = NetConfig(frame_timeout_s=0.3)
+        scrapes = 8192
+
+        async def main():
+            service = provision()
+            async with AuthServer(service, config) as server:
+                reader, writer = await welcomed_connection(server, "deaf")
+                writer.write(framed(SessionRequest("metrics")) * scrapes)
+
+                async def cut_off():
+                    while not all(conn.closed for conn in server._conns):
+                        await asyncio.sleep(0.01)
+                await asyncio.wait_for(cut_off(), 20)
+                replies = 0
+                try:
+                    while await asyncio.wait_for(read_frame(reader), 10):
+                        replies += 1
+                except ConnectionResetError:
+                    pass        # requests the server never read
+                writer.close()
+                return replies
+        replies = run(main())
+        assert 0 < replies < scrapes
+        assert len(writes) > 2
+        assert max(writes) < 2 * config.write_high_bytes
