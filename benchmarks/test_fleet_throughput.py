@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from bench_facade_bridge import provision_fleet
+from repro.service import AuthService, EngineConfig, FleetConfig
 
 FLEET = int(os.environ.get("FLEET_BENCH_SIZE", "256"))
 BASELINE_SLICE = max(8, FLEET // 4)
@@ -37,8 +37,8 @@ BACKEND_FLOOR = float(os.environ.get("FLEET_BACKEND_FLOOR", "1.5"))
 FLEET_JSON = "BENCH_fleet.json"
 RTOL = 1e-9
 
-CONFIG = dict(challenge_bits=64, n_stages=12, response_bits=32,
-              n_spot_crps=64)
+CONFIG = dict(n_spot_crps=64,
+              puf=dict(challenge_bits=64, n_stages=12, response_bits=32))
 
 _results = {}
 
@@ -67,17 +67,19 @@ def _best_of(fn, repeats):
 
 @pytest.fixture(scope="module")
 def stacked_fleet():
-    return provision_fleet(FLEET, seed=1103, stacked=True, **CONFIG)
+    service = AuthService.provision(FleetConfig(n_devices=FLEET, seed=1103, **CONFIG))
+    return service.registry, service.device_list, service.verifier
 
 
 def test_fleet_provisioning_one_shot(table_printer):
     start = time.perf_counter()
-    provision_fleet(FLEET, seed=2207, stacked=True, **CONFIG)
+    AuthService.provision(FleetConfig(n_devices=FLEET, seed=2207, **CONFIG))
     stacked_s = time.perf_counter() - start
     # Per-die compilation baseline, measured on a slice and scaled (one
     # independent compile + harvest per device; linear by construction).
     start = time.perf_counter()
-    provision_fleet(BASELINE_SLICE, seed=2207, stacked=False, **CONFIG)
+    AuthService.provision(FleetConfig(
+        n_devices=BASELINE_SLICE, seed=2207, engine=EngineConfig(stacked=False), **CONFIG))
     per_die_s = (time.perf_counter() - start) * (FLEET / BASELINE_SLICE)
     ratio = per_die_s / stacked_s
     table_printer(
@@ -111,9 +113,8 @@ def test_fleet_round_throughput(table_printer, stacked_fleet):
 
     # Per-device respond path: an identically provisioned (but smaller)
     # fleet with the stacked plane detached, scaled to FLEET devices.
-    __, baseline_devices, baseline_verifier = provision_fleet(
-        BASELINE_SLICE, seed=1103, stacked=True, **CONFIG
-    )
+    service = AuthService.provision(FleetConfig(n_devices=BASELINE_SLICE, seed=1103, **CONFIG))
+    baseline_devices, baseline_verifier = service.device_list, service.verifier
     for device in baseline_devices:
         device.detach_plane()
     baseline_verifier.authenticate_fleet(baseline_devices)  # warm caches
@@ -151,7 +152,7 @@ def test_fleet_stacked_equivalence(table_printer, stacked_fleet):
     sample = list(range(0, FLEET, max(1, FLEET // 16)))
     rng = np.random.default_rng(5)
     challenges = rng.integers(
-        0, 2, size=(len(sample), 3, CONFIG["challenge_bits"]), dtype=np.uint8
+        0, 2, size=(len(sample), 3, CONFIG["puf"]["challenge_bits"]), dtype=np.uint8
     )
     stacked = plane.slot_energies(challenges, measurements=0, dies=sample)
     worst = 0.0
@@ -199,7 +200,7 @@ def test_fleet_backend_sweep(table_printer, stacked_fleet):
     __, baseline_devices, __ = stacked_fleet
     rng = np.random.default_rng(17)
     challenges = rng.integers(
-        0, 2, size=(FLEET, 2, CONFIG["challenge_bits"]), dtype=np.uint8
+        0, 2, size=(FLEET, 2, CONFIG["puf"]["challenge_bits"]), dtype=np.uint8
     )
     baseline_bits = baseline_devices[0].plane.evaluate(
         challenges, measurements=0
@@ -209,9 +210,9 @@ def test_fleet_backend_sweep(table_printer, stacked_fleet):
     speedups = {}
     numpy_round_s = None
     for name in available_backend_names():
-        __, devices, verifier = provision_fleet(
-            FLEET, seed=1103, stacked=True, backend=name, **CONFIG
-        )
+        service = AuthService.provision(FleetConfig(
+            n_devices=FLEET, seed=1103, engine=EngineConfig(backend=name), **CONFIG))
+        devices, verifier = service.device_list, service.verifier
         plane = devices[0].plane
         assert plane.backend == name
         assert np.array_equal(

@@ -28,8 +28,6 @@ import json
 import os
 import time
 
-import numpy as np
-
 from repro.service import AuthService, FleetConfig, HAConfig
 from repro.service.ha import KillEvent, ReplicaGroup, run_replicated_campaign
 from repro.service.net import AuthClient, AuthServer, LegChaos, NetConfig
@@ -44,7 +42,7 @@ HA_JSON = "BENCH_ha.json"
 PUF = dict(challenge_bits=32, n_stages=4, response_bits=16, noise_mw=0.0)
 # Short response deadline: a chaos-duplicated REQUEST that survives the
 # server's retransmit dedup opens a ghost round; this bounds its stall.
-NET = NetConfig(response_timeout_s=1.0, latency_budget_s=0.01)
+NET = NetConfig(response_timeout_s=1.0)
 CHAOS_LEG = LegChaos(drop=0.03, delay=0.10, duplicate=0.03)
 
 _results = {}

@@ -50,7 +50,7 @@ FLEET_JSON = "BENCH_fleet.json"
 # so the instrumented and uninstrumented campaigns are comparable bit
 # for bit regardless of retry timing.
 PUF = dict(challenge_bits=32, n_stages=4, response_bits=16, noise_mw=0.0)
-NET = NetConfig(response_timeout_s=1.0, latency_budget_s=0.01)
+NET = NetConfig(response_timeout_s=1.0)
 CHAOS_LEG = LegChaos(drop=0.03, delay=0.10, duplicate=0.03)
 
 _results = {}

@@ -30,8 +30,7 @@ import pytest
 
 from repro.fleet import respond_round as respond_fleet
 from repro.photonics.shard import usable_cores
-
-from bench_facade_bridge import provision_fleet
+from repro.service import AuthService, EngineConfig, FleetConfig
 
 FLEET = int(os.environ.get("SHARD_BENCH_SIZE", "1024"))
 WORKERS = int(os.environ.get(
@@ -42,8 +41,7 @@ MIN_CORES = int(os.environ.get("SHARD_MIN_CORES", "4"))
 SHARD_JSON = "BENCH_shard.json"
 MAX_REL_ERR = 1e-12
 
-CONFIG = dict(challenge_bits=64, n_stages=12, response_bits=32,
-              n_spot_crps=0)
+CONFIG = dict(challenge_bits=64, n_stages=12, response_bits=32)
 
 _results = {}
 
@@ -71,9 +69,8 @@ def _best_of(fn, repeats):
 
 @pytest.fixture(scope="module")
 def fleet():
-    registry, devices, verifier = provision_fleet(
-        FLEET, seed=3301, stacked=True, **CONFIG
-    )
+    service = AuthService.provision(FleetConfig(n_devices=FLEET, seed=3301, puf=CONFIG))
+    registry, devices, verifier = service.registry, service.device_list, service.verifier
     yield registry, devices, verifier
     devices[0].plane.close_executor()
 
@@ -155,11 +152,11 @@ def test_shard_numerical_equivalence(table_printer, fleet):
 def test_shard_transcripts_bitwise_equal(table_printer):
     """Full-round transcripts: sharded == single-process, byte for byte."""
     size = max(8, min(64, FLEET // 16))
-    config = dict(CONFIG)
-    __, devices1, verifier1 = provision_fleet(size, seed=4401,
-                                              stacked=True, **config)
-    __, devices2, verifier2 = provision_fleet(size, seed=4401, stacked=True,
-                                              shard_workers=WORKERS, **config)
+    plain, sharded = (AuthService.provision(FleetConfig(
+        n_devices=size, seed=4401, engine=EngineConfig(shard_workers=workers),
+        puf=CONFIG)) for workers in (None, WORKERS))
+    devices1, verifier1 = plain.device_list, plain.verifier
+    devices2, verifier2 = sharded.device_list, sharded.verifier
     try:
         equal = True
         for __ in range(2):

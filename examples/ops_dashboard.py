@@ -8,8 +8,11 @@ Two modes, picked from the sidebar:
   latency histogram, and the recent round spans.  Point it at the demo
   server from ``examples/serve_fleet.py``, or tick "demo fleet" to
   spin up an in-process instrumented server to watch.
-* **Replay** — load any committed ``BENCH_*.json`` record and browse
-  it as a table (the benchmark lanes all write flat sorted JSON).
+* **Replay** — load a ``BENCH_*.json`` record that a local benchmark
+  run wrote into the repository root and browse it as a table (the
+  benchmark lanes all write flat sorted JSON).  The records are build
+  output, not tracked files; CHANGES.md holds the recorded numbers, in
+  the entry of the change that measured them.
 
 Run:   streamlit run examples/ops_dashboard.py
 
@@ -157,7 +160,8 @@ def render_dashboard():
     else:
         records = sorted(REPO.glob("BENCH_*.json"))
         if not records:
-            st.warning("no BENCH_*.json records in the repository root")
+            st.warning("no BENCH_*.json records in the repository root "
+                       "(run a benchmark lane first)")
             return
         choice = st.sidebar.selectbox(
             "record", records, format_func=lambda p: p.name)

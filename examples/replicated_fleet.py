@@ -58,8 +58,7 @@ async def demo() -> None:
                     latency_budget_s=0.01,
                     ha=HAConfig(n_replicas=3, lease_timeout_s=0.4,
                                 heartbeat_interval_s=0.05)),
-        net_config=NetConfig(response_timeout_s=1.0,
-                             latency_budget_s=0.01),
+        net_config=NetConfig(response_timeout_s=1.0),
         uplink=CHAOS, downlink=CHAOS, chaos_seed=7)
     try:
         await one_round(group, "round 1 (healthy group)")

@@ -26,8 +26,7 @@ Quickstart
 >>> service.authenticate_batch().n_accepted
 8
 
-(The single-device SoC path is ``provision`` / ``run_session``;
-``provision_fleet`` remains as a deprecated shim over the service.)
+(The single-device SoC path is ``provision`` / ``run_session``.)
 """
 
 from repro.fleet import (
@@ -36,7 +35,6 @@ from repro.fleet import (
     FleetDevice,
     FleetRegistry,
     FleetSimulator,
-    provision_fleet,
 )
 from repro.protocols import provision, run_session
 from repro.service import AuthService, EngineConfig, FleetConfig
@@ -50,7 +48,7 @@ from repro.puf import (
 )
 from repro.system import DeviceSoC, SoCConfig
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "provision",
@@ -63,7 +61,6 @@ __all__ = [
     "FleetDevice",
     "FleetRegistry",
     "FleetSimulator",
-    "provision_fleet",
     "ArbiterPUF",
     "PhotonicStrongPUF",
     "PhotonicWeakPUF",

@@ -37,9 +37,6 @@ from repro.fleet.verifier import (
     FleetDevice,
     RoundCoalescer,
     SpotCheckReport,
-    provision_fleet,
-    respond_fleet,
-    respond_fleet_staged,
 )
 
 __all__ = [
@@ -65,9 +62,6 @@ __all__ = [
     "TamperAdversary",
     "make_backend",
     "photonic_device_factory",
-    "provision_fleet",
-    "respond_fleet",
-    "respond_fleet_staged",
     "respond_round",
     "respond_round_staged",
 ]

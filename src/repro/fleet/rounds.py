@@ -6,9 +6,7 @@ passes, and framing per-device messages while later shards are still
 propagating.  It is internal machinery consumed by
 :meth:`repro.fleet.verifier.BatchVerifier.authenticate_fleet` and the
 lifecycle simulator; the supported public entry point is
-:class:`repro.service.AuthService`.  The former free functions
-``respond_fleet`` / ``respond_fleet_staged`` in
-:mod:`repro.fleet.verifier` are deprecated shims over these.
+:class:`repro.service.AuthService`.
 """
 
 from __future__ import annotations

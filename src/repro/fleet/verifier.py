@@ -16,24 +16,24 @@ authentications per call:
   accepts within a fractional-Hamming-distance threshold, vectorized over
   the whole fleet.
 
-Device-side counterpart is :class:`FleetDevice`; :func:`provision_fleet`
-builds a whole enrolled fleet from one photonic die family.
+Device-side counterpart is :class:`FleetDevice`;
+:meth:`repro.service.AuthService.provision` builds a whole enrolled
+fleet from one photonic die family.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.crypto.mac import mac as compute_mac
 from repro.crypto.mac import verify_mac, verify_mac_batch
 from repro.fleet.registry import FleetRegistry
-from repro.fleet.rounds import respond_round, respond_round_staged
+from repro.fleet.rounds import respond_round_staged
 from repro.protocols.mutual_auth import (
     AuthenticationFailure,
     FailureKind,
@@ -72,7 +72,8 @@ class FleetDevice:
     A device may additionally be *attached* to a fleet-stacked execution
     plane (:meth:`attach_plane`): its PUF then answers round measurements
     as one row of the plane's single tensor pass (see
-    :func:`respond_fleet`) instead of a batch-1 interrogation of its own.
+    :func:`repro.fleet.rounds.respond_round`) instead of a batch-1
+    interrogation of its own.
     The plane is runtime wiring, not durable state — a device restored
     from a snapshot responds per-device until re-attached.
     """
@@ -227,45 +228,6 @@ class AuthResponse:
     device_id: str
     body: bytes
     tag: bytes
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated and will be removed two minor releases "
-        f"after 0.3.0; use {new} instead (see the README migration table)",
-        DeprecationWarning, stacklevel=3,
-    )
-
-
-def respond_fleet_staged(
-    devices: Sequence[FleetDevice],
-    nonces: Dict[str, bytes],
-    tamper_factors: Optional[Dict[str, float]] = None,
-) -> Iterator[Tuple[List[int], List[AuthResponse]]]:
-    """Deprecated shim over :func:`repro.fleet.rounds.respond_round_staged`.
-
-    The round mechanism lives in :mod:`repro.fleet.rounds`; the
-    supported public entry point is
-    :meth:`repro.service.AuthService.authenticate_batch`.
-    """
-    _deprecated("respond_fleet_staged",
-                "repro.fleet.rounds.respond_round_staged")
-    return respond_round_staged(devices, nonces, tamper_factors)
-
-
-def respond_fleet(
-    devices: Sequence[FleetDevice],
-    nonces: Dict[str, bytes],
-    tamper_factors: Optional[Dict[str, float]] = None,
-) -> List[AuthResponse]:
-    """Deprecated shim over :func:`repro.fleet.rounds.respond_round`.
-
-    The round mechanism lives in :mod:`repro.fleet.rounds`; the
-    supported public entry point is
-    :meth:`repro.service.AuthService.authenticate_batch`.
-    """
-    _deprecated("respond_fleet", "repro.fleet.rounds.respond_round")
-    return respond_round(devices, nonces, tamper_factors)
 
 
 @dataclass
@@ -977,51 +939,75 @@ class CoalescedAuth:
             )
             self.failure_kind = report.failure_kinds.get(self.device_id)
 
+    def reject(self, failure: str, kind: Optional[str]) -> None:
+        """Settle as failed without a round report."""
+        self.done = True
+        self.accepted = False
+        self.failure = failure
+        self.failure_kind = kind
+
 
 class RoundCoalescer:
-    """Batches individually-arriving auth requests into micro-rounds.
+    """The micro-round trigger policy: when queued auth requests flush.
 
     Production traffic is not a neat fleet-wide round: devices check in
     one at a time.  Authenticating each arrival alone would waste the
     stacked plane (a batch-1 tensor pass per device); the coalescer
-    holds arrivals in a pending micro-round and flushes them through
-    one pipelined :meth:`BatchVerifier.authenticate_fleet` call when
+    holds arrivals in a pending micro-round and flushes them as one
+    batch when
 
-    * the oldest pending request has waited ``latency_budget_s`` (the
-      per-request latency cap trades batch efficiency against response
-      time), or
-    * ``max_batch`` requests are pending (a full micro-round), or
     * a device already pending arrives again (one device cannot appear
-      twice in one round — the duplicate flushes the round first).
+      twice in one round — the duplicate flushes the pending round
+      first, then queues), or
+    * ``max_batch`` requests are pending (a full micro-round), or
+    * :meth:`poll` finds that the oldest pending request has waited
+      ``latency_budget_s`` (the per-request latency cap trades batch
+      efficiency against response time).
+
+    It does no I/O; its owner supplies the callables.  ``admit`` raises
+    for an unknown device id, so one stray request is refused at the
+    door instead of poisoning a micro-round.  ``run_round`` gets each
+    flushed batch as ``(device, ticket)`` pairs in arrival order (its
+    result is what :meth:`flush` and :meth:`poll` return) and calls
+    :meth:`opened` for the round it opens after screening the batch —
+    in process for :class:`repro.service.AuthService`, scattered over
+    connections for :class:`repro.service.net.AuthServer`.
 
     ``clock`` is injectable (tests drive a fake clock); callers in an
     event loop call :meth:`poll` on their tick to enforce the budget.
     """
 
-    def __init__(self, verifier: BatchVerifier,
+    def __init__(self, admit: Callable[[str], object],
+                 run_round: Callable[[List[tuple]], object],
                  latency_budget_s: float = 0.005, max_batch: int = 256,
                  clock=time.monotonic):
         if latency_budget_s < 0.0:
             raise ValueError("latency_budget_s must be non-negative")
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        self.verifier = verifier
+        self._admit = admit
+        self._run_round = run_round
         self.latency_budget_s = float(latency_budget_s)
         self.max_batch = int(max_batch)
         self._clock = clock
-        self._pending: List[tuple] = []          # (device, ticket)
-        self._pending_ids: set = set()
+        # device_id -> (device, ticket), in arrival order.
+        self._pending: Dict[str, Tuple[object, CoalescedAuth]] = {}
         self._deadline: Optional[float] = None
         self.micro_rounds = 0
         self.submitted = 0
         self.flushed_by_size = 0
         self.flushed_by_deadline = 0
+        self.flushed_by_duplicate = 0
         # Observability hook (repro.obs.ServiceObs), None when unwired.
         self._obs = None
 
     @property
     def pending_count(self) -> int:
         return len(self._pending)
+
+    def pending(self, device_id: str) -> Optional[tuple]:
+        """The queued ``(device, ticket)`` pair of ``device_id``, if any."""
+        return self._pending.get(device_id)
 
     @property
     def deadline(self) -> Optional[float]:
@@ -1043,18 +1029,15 @@ class RoundCoalescer:
             now = self._clock()
         return max(0.0, self._deadline - now)
 
-    def submit(self, device: FleetDevice) -> CoalescedAuth:
-        """Queue one device's auth request; may trigger a flush.
-
-        Unknown devices are rejected here, at the door — one stray
-        request must not poison the micro-round it would have joined.
-        """
-        self.verifier.registry.record(device.device_id)
-        if device.device_id in self._pending_ids:
+    def submit(self, device) -> CoalescedAuth:
+        """Queue one device's auth request; may trigger a flush."""
+        device_id = device.device_id
+        self._admit(device_id)
+        if device_id in self._pending:
+            self.flushed_by_duplicate += 1
             self.flush()
-        ticket = CoalescedAuth(device.device_id)
-        self._pending.append((device, ticket))
-        self._pending_ids.add(device.device_id)
+        ticket = CoalescedAuth(device_id)
+        self._pending[device_id] = (device, ticket)
         self.submitted += 1
         if self._obs is not None:
             self._obs.on_coalescer_submit(len(self._pending))
@@ -1065,102 +1048,24 @@ class RoundCoalescer:
             self.flush()
         return ticket
 
-    def poll(self) -> Optional[BatchAuthReport]:
+    def poll(self):
         """Flush if the oldest pending request exhausted its budget."""
         if self._pending and self._clock() >= self._deadline:
             self.flushed_by_deadline += 1
             return self.flush()
         return None
 
-    def flush(self) -> Optional[BatchAuthReport]:
-        """Run the pending micro-round now; settle every ticket.
-
-        A device revoked between submit and flush settles *its own*
-        ticket as a ``not-enrolled`` rejection here, before the round
-        opens — it must not poison the micro-round it would have joined
-        (``open_round`` would raise for everyone).  Every other ticket
-        settles even when the round itself fails: a protocol-level
-        :class:`AuthenticationFailure` settles the whole micro-round as
-        failed and returns ``None`` — callers polling their tickets see
-        the outcome instead of hanging; unexpected errors settle the
-        tickets the same way, then propagate.
-        """
+    def flush(self):
+        """Hand the pending micro-round to ``run_round`` now."""
         if not self._pending:
             return None
-        pending, self._pending = self._pending, []
-        self._pending_ids = set()
+        batch = list(self._pending.values())
+        self._pending = {}
         self._deadline = None
-        live = []
-        for device, ticket in pending:
-            if device.device_id in self.verifier.registry:
-                live.append((device, ticket))
-            else:
-                ticket.done = True
-                ticket.accepted = False
-                ticket.failure = (
-                    f"device {device.device_id!r} was revoked while its "
-                    "request was pending"
-                )
-                ticket.failure_kind = FailureKind.NOT_ENROLLED.value
-        pending = live
-        if not pending:
-            return None
+        return self._run_round(batch)
+
+    def opened(self, size: int) -> None:
+        """Count one micro-round of ``size`` screened devices."""
         self.micro_rounds += 1
         if self._obs is not None:
-            self._obs.on_coalescer_flush(len(pending))
-        try:
-            report = self.verifier.authenticate_fleet(
-                [device for device, __ in pending]
-            )
-        except Exception as exc:
-            kind = getattr(exc, "kind", None)
-            for __, ticket in pending:
-                ticket.done = True
-                ticket.accepted = False
-                ticket.failure = f"micro-round failed: {exc}"
-                ticket.failure_kind = kind.value if kind is not None else None
-            if isinstance(exc, AuthenticationFailure):
-                return None
-            raise
-        for __, ticket in pending:
-            ticket.settle(report)
-        return report
-
-
-def provision_fleet(
-    n_devices: int,
-    seed: int = 0,
-    n_spot_crps: int = 0,
-    stacked: bool = True,
-    shard_workers: Optional[int] = None,
-    **puf_kwargs,
-):
-    """Deprecated shim over :meth:`repro.service.AuthService.provision`.
-
-    Returns the legacy ``(registry, devices, verifier)`` tuple; the
-    supported entry point is
-
-    >>> from repro.service import AuthService, EngineConfig, FleetConfig
-    >>> service = AuthService.provision(FleetConfig(n_devices=4))
-
-    which yields bit-identical provisioning (same challenge streams,
-    noise realisations, and enrollment records) plus the facade verbs
-    on top.  The execution plane the service compiles stays attached to
-    the returned devices; shut its sharded executor down with
-    ``devices[0].plane.close_executor()`` when ``shard_workers`` was
-    used.
-    """
-    _deprecated(
-        "provision_fleet",
-        "repro.service.AuthService.provision(FleetConfig(...))",
-    )
-    from repro.service import AuthService, EngineConfig, FleetConfig
-
-    service = AuthService.provision(FleetConfig(
-        n_devices=n_devices,
-        seed=seed,
-        n_spot_crps=n_spot_crps,
-        engine=EngineConfig(stacked=stacked, shard_workers=shard_workers),
-        puf=puf_kwargs,
-    ))
-    return service.registry, service.device_list, service.verifier
+            self._obs.on_coalescer_flush(size)

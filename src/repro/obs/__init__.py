@@ -31,7 +31,8 @@ Authentication plane (:func:`instrument_service` /
 - ``repro_auth_finalized_total`` / ``repro_auth_aborted_total`` /
   ``repro_auth_recovered_total`` — two-phase commit settlements.
 - ``repro_service_round_latency_seconds{phase}`` — facade round
-  latency histogram (``batch`` / ``flush`` / ``poll`` / ``wire``).
+  latency histogram (``batch`` / ``flush`` / ``wire``; every coalesced
+  micro-round is timed under ``flush``, whatever triggered it).
 - ``repro_service_enrolled_total`` / ``repro_service_revoked_total``.
 - ``repro_service_spot_pool_remaining{device_class}`` — unburned
   spot-check CRPs (sampled at scrape; skipped above 4096 devices).

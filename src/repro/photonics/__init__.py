@@ -10,10 +10,8 @@ per-die process variation and thermo-optic drift.
 from repro.photonics.backend import (
     ArrayBackend,
     BackendUnavailable,
-    CupyBackend,
     NumbaBackend,
     NumpyBackend,
-    TorchBackend,
     available_backend_names,
     backend_names,
     get_backend,
@@ -71,10 +69,8 @@ from repro.photonics.variation import (
 __all__ = [
     "ArrayBackend",
     "BackendUnavailable",
-    "CupyBackend",
     "NumbaBackend",
     "NumpyBackend",
-    "TorchBackend",
     "available_backend_names",
     "backend_names",
     "get_backend",

@@ -8,7 +8,7 @@ fleet-batched response-kernel GEMMs of
 This module puts both — plus the batched spectral convolution of
 ``modulated_response`` — behind one small :class:`ArrayBackend`
 interface so a single config flag (``EngineConfig(backend=...)``) moves
-the whole execution plane to a JIT-compiled or GPU path:
+the whole execution plane to a JIT-compiled path:
 
 * :class:`NumpyBackend` — the reference.  Its operations are the exact
   whole-tensor passes the engine has always run, so selecting it (the
@@ -17,11 +17,8 @@ the whole execution plane to a JIT-compiled or GPU path:
   term and block recurrence fused into one pass per ring, parallel over
   the stacked ``fleet x channels`` plane) and the bit-slot GEMM path.
   Registers always; reports :meth:`available` only when ``numba``
-  imports.
-* :class:`CupyBackend` / :class:`TorchBackend` — best-effort GPU paths
-  that register always and report availability only when their import
-  succeeds (and, for torch, when an accelerator actually helps — it
-  still runs on CPU, which is useful for the contract suite).
+  imports.  The CI ``backend-bench`` lane installs it and holds it to
+  its speedup floors.
 
 Correctness story
 -----------------
@@ -29,17 +26,13 @@ numpy stays the bit-exactness reference.  Every alternate backend must
 agree with it at rtol 1e-9 on the raw float primitives *and* — because
 responses are quantized to bits before any MAC is computed — produce
 **bit-identical round transcripts** end to end: float reassociation in
-a JIT/GPU kernel must never flip a differential-readout comparison.
+a JIT kernel must never flip a differential-readout comparison.
 :meth:`ArrayBackend.self_check` asserts both properties on
 representative inputs at first use; :func:`resolve_backend` falls back
 to numpy with a recorded ``degraded_reason`` when a backend is
 unavailable or fails that check, so callers never need a second code
-path (mirroring the sharded executor's degraded mode).
-
-Alternate backends accept and return host (numpy) arrays — device
-residency is internal to the backend, with :meth:`to_device` /
-:meth:`from_device` exposed for callers that want to stage data
-explicitly.
+path (mirroring the sharded executor's degraded mode).  Every backend
+accepts and returns host (numpy) arrays.
 """
 
 from __future__ import annotations
@@ -51,10 +44,8 @@ import numpy as np
 __all__ = [
     "ArrayBackend",
     "BackendUnavailable",
-    "CupyBackend",
     "NumbaBackend",
     "NumpyBackend",
-    "TorchBackend",
     "available_backend_names",
     "backend_names",
     "get_backend",
@@ -128,8 +119,7 @@ class ArrayBackend:
 
     Subclasses implement the three primitives (:meth:`ring_scan`,
     :meth:`kernel_gemm`, :meth:`batched_fft_convolve`) over host
-    arrays, plus :meth:`to_device`/:meth:`from_device` staging and the
-    :meth:`available` probe.  :meth:`ensure_ready` runs
+    arrays, plus the :meth:`available` probe.  :meth:`ensure_ready` runs
     :meth:`self_check` exactly once per process and caches the verdict;
     :func:`resolve_backend` uses it to gate first use.
     """
@@ -152,21 +142,6 @@ class ArrayBackend:
     def unavailable_reason(cls) -> Optional[str]:
         """Why :meth:`available` is False (``None`` when available)."""
         return None
-
-    # -- array namespace / staging ----------------------------------------
-
-    @property
-    def xp(self):
-        """The backend's array namespace (numpy-compatible module)."""
-        return np
-
-    def to_device(self, array: np.ndarray):
-        """Stage a host array onto the backend's device (no-op on CPU)."""
-        return array
-
-    def from_device(self, array) -> np.ndarray:
-        """Bring a device array back to host memory (no-op on CPU)."""
-        return np.asarray(array)
 
     # -- primitives --------------------------------------------------------
 
@@ -507,161 +482,3 @@ class NumbaBackend(NumpyBackend):
             ) from exc
         super().self_check()
 
-
-# ---------------------------------------------------------------------------
-# cupy / torch — best-effort GPU paths
-# ---------------------------------------------------------------------------
-
-@register_backend
-class CupyBackend(ArrayBackend):
-    """CUDA path via CuPy; registers always, serves only when it imports.
-
-    The ring scan runs the same block-major recurrence as the numpy
-    reference, on device; GEMMs and FFTs map straight onto cuBLAS /
-    cuFFT.  Inputs and outputs stay host arrays (transfers are internal),
-    so the engine needs no second code path.
-    """
-
-    name = "cupy"
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        try:
-            import cupy
-            cupy.zeros(1)  # fails when no CUDA device is usable
-        except Exception as exc:
-            return f"cupy unusable ({exc})"
-        return None
-
-    @property
-    def xp(self):
-        import cupy
-
-        return cupy
-
-    def to_device(self, array: np.ndarray):
-        return self.xp.asarray(array)
-
-    def from_device(self, array) -> np.ndarray:
-        return self.xp.asnumpy(array)
-
-    def ring_scan(self, fields, tau, rho, feedback, delay):
-        cp = self.xp
-        x = cp.asarray(fields)
-        tau_d, rho_d, feedback_d = (cp.asarray(c)
-                                    for c in (tau, rho, feedback))
-        lead = x.shape[:-1]
-        n_samples = x.shape[-1]
-        blocks = -(-n_samples // delay)
-        total = blocks * delay
-        padding = total - n_samples
-        u = cp.empty((*lead, total), dtype=cp.complex128)
-        u[..., :n_samples] = tau_d * x
-        if padding:
-            u[..., n_samples:] = 0.0
-        u[..., delay:] -= rho_d * x[..., :total - delay]
-        w = cp.ascontiguousarray(
-            cp.moveaxis(u.reshape(*lead, blocks, delay), -2, 0)
-        )
-        for k in range(1, blocks):
-            w[k] += feedback_d * w[k - 1]
-        out = cp.moveaxis(w, 0, -2).reshape(*lead, total)
-        return self.from_device(out[..., :n_samples] if padding else out)
-
-    def kernel_gemm(self, h_real, h_imag, lag):
-        cp = self.xp
-        y_real = cp.matmul(cp.asarray(h_real), cp.asarray(lag))
-        y_imag = cp.matmul(cp.asarray(h_imag), cp.asarray(lag))
-        return self.from_device(y_real * y_real + y_imag * y_imag)
-
-    def batched_fft_convolve(self, spectra, waves, length, n_samples):
-        cp = self.xp
-        wave_spectra = cp.fft.fft(cp.asarray(waves), n=length, axis=-1)
-        product = (cp.asarray(spectra)[:, cp.newaxis]
-                   * wave_spectra[:, :, cp.newaxis])
-        return self.from_device(cp.fft.ifft(product, axis=-1)[..., :n_samples])
-
-
-@register_backend
-class TorchBackend(ArrayBackend):
-    """Torch path (CUDA/MPS when present, CPU otherwise).
-
-    Double precision throughout — the rtol-1e-9 equivalence contract
-    rules out float32 — with the same host-in/host-out convention as
-    :class:`CupyBackend`.
-    """
-
-    name = "torch"
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        try:
-            import torch  # noqa: F401
-        except Exception as exc:
-            return f"torch import failed ({exc})"
-        return None
-
-    @property
-    def xp(self):
-        import torch
-
-        return torch
-
-    def _device(self):
-        torch = self.xp
-        if torch.cuda.is_available():
-            return torch.device("cuda")
-        return torch.device("cpu")
-
-    def to_device(self, array: np.ndarray):
-        torch = self.xp
-        return torch.from_numpy(np.ascontiguousarray(array)).to(self._device())
-
-    def from_device(self, array) -> np.ndarray:
-        return array.cpu().numpy()
-
-    def ring_scan(self, fields, tau, rho, feedback, delay):
-        torch = self.xp
-        x = self.to_device(np.asarray(fields, dtype=np.complex128))
-        tau_d, rho_d, feedback_d = (
-            self.to_device(np.asarray(c, dtype=np.complex128))
-            for c in (tau, rho, feedback)
-        )
-        lead = tuple(x.shape[:-1])
-        n_samples = x.shape[-1]
-        blocks = -(-n_samples // delay)
-        total = blocks * delay
-        padding = total - n_samples
-        u = torch.empty((*lead, total), dtype=torch.complex128,
-                        device=x.device)
-        u[..., :n_samples] = tau_d * x
-        if padding:
-            u[..., n_samples:] = 0.0
-        u[..., delay:] -= rho_d * x[..., :total - delay]
-        w = u.reshape(*lead, blocks, delay).movedim(-2, 0).contiguous()
-        for k in range(1, blocks):
-            w[k] += feedback_d * w[k - 1]
-        out = w.movedim(0, -2).reshape(*lead, total)
-        return self.from_device(out[..., :n_samples] if padding else out)
-
-    def kernel_gemm(self, h_real, h_imag, lag):
-        torch = self.xp
-        lag_d = self.to_device(np.asarray(lag, dtype=np.float64))
-        y_real = torch.matmul(
-            self.to_device(np.asarray(h_real, dtype=np.float64)), lag_d
-        )
-        y_imag = torch.matmul(
-            self.to_device(np.asarray(h_imag, dtype=np.float64)), lag_d
-        )
-        return self.from_device(y_real * y_real + y_imag * y_imag)
-
-    def batched_fft_convolve(self, spectra, waves, length, n_samples):
-        torch = self.xp
-        wave_spectra = torch.fft.fft(
-            self.to_device(np.asarray(waves, dtype=np.float64)), n=length,
-            dim=-1,
-        )
-        product = (self.to_device(np.asarray(spectra))[:, None]
-                   * wave_spectra[:, :, None])
-        out = torch.fft.ifft(product, dim=-1)[..., :n_samples]
-        return self.from_device(out)

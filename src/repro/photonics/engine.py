@@ -91,8 +91,8 @@ def stacked_ring_scan(
     the ``scipy.signal.lfilter`` reference to round-off.
 
     This is the numpy reference implementation, hosted by
-    :class:`repro.photonics.backend.NumpyBackend`; alternate compute
-    backends (numba JIT, GPU) provide the same contract and are
+    :class:`repro.photonics.backend.NumpyBackend`; the numba JIT
+    backend provides the same contract and is
     selected per-mesh/per-fleet via ``backend_name``.
     """
     return _backend_mod.get_backend("numpy").ring_scan(

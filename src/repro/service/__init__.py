@@ -30,8 +30,8 @@
   endpoints under a retry/backoff policy.
 
 The pre-redesign free functions (``repro.fleet.provision_fleet``,
-``respond_fleet``, ``respond_fleet_staged``) are deprecated shims that
-delegate here; see the README migration table.
+``respond_fleet``, ``respond_fleet_staged``) were removed in 0.9.0; the
+README migration table maps each one onto this package.
 """
 
 from repro.service.codec import (

@@ -1,16 +1,14 @@
 """Declarative fleet and engine configuration for :mod:`repro.service`.
 
-Every provisioning/execution knob that used to sprawl across
-``provision_fleet(stacked=..., shard_workers=...)``, ``RoundCoalescer``
-constructor arguments, and ``FleetSimulator`` keyword arguments lives in
-two frozen dataclasses:
+Every provisioning and execution knob lives in two frozen dataclasses:
 
 * :class:`EngineConfig` — *how* measurements execute: the fleet-stacked
   plane and the sharded multi-core executor;
 * :class:`FleetConfig` — *what* the fleet is and how the service runs
-  it: fleet size, seeds, spot pools, PUF design knobs, coalescer
-  budgets, the optional fault model for lifecycle simulation, and the
-  persistence path.
+  it: fleet size, seeds, spot pools, PUF design knobs, the coalescer's
+  latency budget and batch size (shared by the in-process service and
+  the wire server that serves it), the optional fault model for
+  lifecycle simulation, and the persistence path.
 
 Both validate on construction and round-trip through
 ``to_state``/``from_state`` (plain JSON-serializable dicts), so a
@@ -57,10 +55,10 @@ class EngineConfig:
 
     ``backend`` names the compute backend the stacked plane runs its
     hot primitives on (see :mod:`repro.photonics.backend`): ``"numpy"``
-    (default, the bit-exactness reference), ``"numba"`` for JIT-compiled
-    CPU kernels, ``"cupy"``/``"torch"`` for GPU paths.  The name must be
-    registered; a registered-but-unavailable backend degrades to numpy
-    at first use with a recorded ``degraded_reason``.
+    (default, the bit-exactness reference) or ``"numba"`` for
+    JIT-compiled CPU kernels.  The name must be registered; a
+    registered-but-unavailable backend degrades to numpy at first use
+    with a recorded ``degraded_reason``.
     """
 
     stacked: bool = True
@@ -179,7 +177,8 @@ class FleetConfig:
     (``challenge_bits``, ``n_stages``, ``response_bits``, ...); it is
     copied at construction so a config never aliases caller state.
     ``latency_budget_s``/``max_batch`` parameterize the service's
-    request coalescer; ``fault_model`` seeds lifecycle simulation
+    request coalescer, and the coalescer of any
+    :class:`~repro.service.net.AuthServer` serving it; ``fault_model`` seeds lifecycle simulation
     (:meth:`repro.service.AuthService.simulator`); ``snapshot_path`` is
     the default target of :meth:`repro.service.AuthService.save`.
 

@@ -53,7 +53,7 @@ from repro.fleet.verifier import (
     SpotCheckReport,
     provisioning_challenge,
 )
-from repro.protocols.mutual_auth import AuthenticationFailure
+from repro.protocols.mutual_auth import AuthenticationFailure, FailureKind
 from repro.puf.photonic_strong import photonic_strong_family
 from repro.service.codec import (
     AuthChallenge,
@@ -126,7 +126,7 @@ class AuthService:
 
     def _build_coalescer(self) -> RoundCoalescer:
         coalescer = RoundCoalescer(
-            self.verifier,
+            self.registry.record, self._run_micro_round,
             latency_budget_s=self.config.latency_budget_s,
             max_batch=self.config.max_batch,
             clock=self._clock,
@@ -340,33 +340,57 @@ class AuthService:
         failure = deny_reason(self.policies, device.device_id)
         if failure is not None:
             ticket = CoalescedAuth(device.device_id)
-            ticket.done = True
-            ticket.accepted = False
-            ticket.failure = str(failure)
-            ticket.failure_kind = failure.kind.value
+            ticket.reject(str(failure), failure.kind.value)
             return ticket
         return self.coalescer.submit(device)
 
     def poll(self) -> Optional[BatchAuthReport]:
         """Flush the pending micro-round once its latency budget expires."""
-        obs = self._obs
-        started = self._clock() if obs is not None else 0.0
-        report = self.coalescer.poll()
-        if report is not None:
-            run_hooks(self.policies, "after_round", report)
-            if obs is not None:
-                obs.on_round(report, self._clock() - started, "poll")
-        return report
+        return self.coalescer.poll()
 
     def flush(self) -> Optional[BatchAuthReport]:
         """Flush the pending micro-round now."""
+        return self.coalescer.flush()
+
+    def _run_micro_round(self, batch: List[Tuple[FleetDevice, CoalescedAuth]],
+                         ) -> Optional[BatchAuthReport]:
+        """The coalescer's ``run_round``: one micro-round, in process.
+
+        A device revoked while pending fails *its own* ticket before the
+        round opens (``open_round`` would fail everyone).  A failed round
+        fails every ticket and returns ``None`` (a protocol failure) or
+        re-raises.  Whatever triggered the flush, a verified round runs
+        the ``after_round`` hooks and is timed under ``phase="flush"``.
+        """
+        live = []
+        for device, ticket in batch:
+            if device.device_id in self.registry:
+                live.append((device, ticket))
+            else:
+                ticket.reject(
+                    f"device {device.device_id!r} was revoked while its "
+                    "request was pending", FailureKind.NOT_ENROLLED.value)
+        if not live:
+            return None
+        self.coalescer.opened(len(live))
         obs = self._obs
         started = self._clock() if obs is not None else 0.0
-        report = self.coalescer.flush()
-        if report is not None:
-            run_hooks(self.policies, "after_round", report)
-            if obs is not None:
-                obs.on_round(report, self._clock() - started, "flush")
+        try:
+            report = self.verifier.authenticate_fleet(
+                [device for device, __ in live])
+        except Exception as exc:
+            kind = getattr(exc, "kind", None)
+            for __, ticket in live:
+                ticket.reject(f"micro-round failed: {exc}",
+                              kind.value if kind is not None else None)
+            if isinstance(exc, AuthenticationFailure):
+                return None
+            raise
+        for __, ticket in live:
+            ticket.settle(report)
+        run_hooks(self.policies, "after_round", report)
+        if obs is not None:
+            obs.on_round(report, self._clock() - started, "flush")
         return report
 
     def spot_check(self, devices: Optional[Sequence[DeviceLike]] = None,

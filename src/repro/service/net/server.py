@@ -10,14 +10,18 @@ wrapped service.
 Request coalescing
 ------------------
 Individually-arriving ``auth`` requests are *not* verified one by one —
-they queue into a server-wide pending micro-round with exactly the
-trigger semantics of :class:`repro.fleet.verifier.RoundCoalescer`
-(latency budget, ``max_batch``, duplicate-device flush, revoked-while-
-pending screening), so stragglers still batch onto the hot stacked
-plane.  The flush timer schedules against the *service's* injectable
-monotonic clock (:attr:`AuthService.clock`) — the same clock the
-in-process coalescer reads — so a latency budget means the same thing
-whether requests arrive through a socket or a function call.
+they queue into a server-wide
+:class:`repro.fleet.verifier.RoundCoalescer`, the same trigger policy
+the in-process service runs, built from the wrapped service's
+:class:`~repro.service.config.FleetConfig` (latency budget,
+``max_batch``) and its injectable monotonic clock
+(:attr:`AuthService.clock`).  A served fleet therefore batches exactly
+like the in-process one, and stragglers still batch onto the hot
+stacked plane.  The server adds only what a socket needs: a retransmit
+of a device already pending on the same connection is dropped, queued
+requests count against the connection's read gate, and a flush-timer
+task sleeps until the coalescer's deadline and then polls it (while
+nothing is pending it waits on an event instead of polling).
 
 A wire micro-round is the protocol's Fig. 4 exchange, scattered:
 
@@ -70,12 +74,13 @@ from __future__ import annotations
 
 import asyncio
 import json
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.fleet.verifier import AuthResponse, RoundCoalescer
 from repro.obs.export import render_json, render_prometheus
 from repro.obs.instrument import RegistryBackedCounters
 from repro.protocols.mutual_auth import AuthenticationFailure, FailureKind
@@ -108,9 +113,9 @@ __all__ = ["AuthServer", "NetConfig", "ServerMetrics"]
 class NetConfig:
     """Transport knobs for :class:`AuthServer` (all times in seconds).
 
-    ``latency_budget_s`` / ``max_batch`` default to the wrapped
-    service's :class:`~repro.service.config.FleetConfig` values, so a
-    served fleet batches exactly like the in-process coalescer.
+    Batching is not a transport knob: the server coalesces with the
+    wrapped service's :class:`~repro.service.config.FleetConfig`
+    (``latency_budget_s``, ``max_batch``).
     """
 
     host: str = "127.0.0.1"
@@ -126,8 +131,6 @@ class NetConfig:
     read_buffer_bytes: int = 1 << 16    # StreamReader limit per connection
     write_high_bytes: int = 1 << 16     # transport write buffer watermarks
     write_low_bytes: int = 1 << 14
-    latency_budget_s: Optional[float] = None
-    max_batch: Optional[int] = None
 
     def __post_init__(self):
         if self.pending_low > self.pending_high:
@@ -257,6 +260,10 @@ class _Connection:
             pass
 
 
+#: One wire ``auth`` request, queued in the coalescer as its "device".
+_WireAuth = namedtuple("_WireAuth", "conn device_id")
+
+
 class _WireRound:
     """One scattered micro-round: who owes a RESPONSE, what arrived."""
 
@@ -321,15 +328,14 @@ class AuthServer:
         self.metrics = ServerMetrics._for_owner()
         self._obs = None
         self._clock = service.clock
-        self._budget = (self.config.latency_budget_s
-                        if self.config.latency_budget_s is not None
-                        else service.config.latency_budget_s)
-        self._max_batch = int(self.config.max_batch
-                              or service.config.max_batch)
-        self._pending: List[Tuple[_Connection, str]] = []
-        self._pending_ids: Set[str] = set()
-        self._deadline: Optional[float] = None
-        self._deadline_set = asyncio.Event()
+        # The registry is read per request: an HA promotion may swap it.
+        self._coalescer = RoundCoalescer(
+            lambda device_id: self.service.registry.record(device_id),
+            lambda batch: self._track(self._run_round(batch)),
+            latency_budget_s=service.config.latency_budget_s,
+            max_batch=service.config.max_batch, clock=service.clock,
+        )
+        self._pending_set = asyncio.Event()
         self._conns: Set[_Connection] = set()
         self._handlers: Set[asyncio.Task] = set()
         self._rounds: Set[asyncio.Task] = set()
@@ -373,9 +379,9 @@ class AuthServer:
             self._server.close()
             await self._server.wait_closed()
         # Drain: pending tickets become one final micro-round.
-        if self._pending:
-            self.metrics.drained_tickets += len(self._pending)
-            self._flush()
+        if self._coalescer.pending_count:
+            self.metrics.drained_tickets += self._coalescer.pending_count
+            self._coalescer.flush()
         if self._rounds:
             await asyncio.wait(list(self._rounds),
                                timeout=self.config.drain_timeout_s)
@@ -427,78 +433,51 @@ class AuthServer:
             except (ConnectionError, OSError):
                 pass
 
-    # -- the shared flush timer ------------------------------------------
+    # -- coalescing: the wire-specific parts around RoundCoalescer -------
 
     async def _flush_timer(self) -> None:
         """Enforce the latency budget on the service's monotonic clock.
 
-        The decision — is the oldest pending ticket past its deadline —
-        always re-reads :attr:`AuthService.clock`, mirroring
-        :meth:`RoundCoalescer.poll`; ``asyncio.sleep`` merely paces the
-        re-reads, so an injected test clock stays authoritative.
+        ``asyncio.sleep`` merely paces the coalescer's own
+        :meth:`RoundCoalescer.poll`, which re-reads
+        :attr:`AuthService.clock`, so an injected test clock stays
+        authoritative.  While nothing is pending the timer waits on an
+        event and never polls.
         """
         while True:
-            if self._deadline is None:
-                self._deadline_set.clear()
-                await self._deadline_set.wait()
+            delay = self._coalescer.time_to_deadline()
+            if delay is None:
+                self._pending_set.clear()
+                await self._pending_set.wait()
                 continue
-            delay = max(0.0, self._deadline - self._clock())
             if delay > 0.0:
                 await asyncio.sleep(delay)
-            if self._deadline is not None and self._clock() >= self._deadline:
-                self.metrics.flushed_by_deadline += 1
-                self._flush()
+            self._coalescer.poll()
+            self._count()
 
-    def _poll(self) -> bool:
-        """Deadline-flush now if due (the wire ``poll`` verb)."""
-        if self._pending and self._clock() >= self._deadline:
-            self.metrics.flushed_by_deadline += 1
-            self._flush()
-            return True
-        return False
-
-    # -- coalescing (RoundCoalescer trigger semantics, over the wire) ----
+    def _count(self) -> None:
+        """Mirror the coalescer's counts onto the same-named metrics."""
+        for name in ("submitted", "micro_rounds", "flushed_by_size",
+                     "flushed_by_deadline", "flushed_by_duplicate"):
+            setattr(self.metrics, name, getattr(self._coalescer, name))
 
     def _submit_auth(self, conn: _Connection, device_id: str) -> None:
-        # Unknown devices are rejected at the door — one stray request
-        # must not poison the micro-round it would have joined.
-        self.service.registry.record(device_id)
-        if device_id in self._pending_ids:
-            if any(queued_conn is conn and queued_id == device_id
-                   for queued_conn, queued_id in self._pending):
-                # A retransmit (a duplicating network, or a client retry
-                # racing its own first request): the pending entry will
-                # challenge the device; queueing a second would open a
-                # ghost round whose failure RESULT races the real
-                # round's CONFIRMATION.  Submit is idempotent per
-                # (connection, device).
-                self.metrics.retransmits_dropped += 1
-                return
-            self.metrics.flushed_by_duplicate += 1
-            self._flush()
-        self._pending.append((conn, device_id))
-        self._pending_ids.add(device_id)
-        self.metrics.submitted += 1
+        queued = self._coalescer.pending(device_id)
+        if queued is not None and queued[0].conn is conn:
+            # A retransmit (a duplicating network, or a client retry
+            # racing its own first request): the pending entry will
+            # challenge the device; queueing a second would open a
+            # ghost round whose failure RESULT races the real round's
+            # CONFIRMATION.  Submit is idempotent per (connection,
+            # device); the same device on another connection is a
+            # duplicate, which the coalescer flushes first.
+            self.metrics.retransmits_dropped += 1
+            return
+        self._coalescer.submit(_WireAuth(conn, device_id))
         conn.queued += 1
         self._update_gate(conn)
-        if self._deadline is None:
-            self._deadline = self._clock() + self._budget
-            self._deadline_set.set()
-        if len(self._pending) >= self._max_batch:
-            self.metrics.flushed_by_size += 1
-            self._flush()
-
-    def _flush(self) -> Optional[asyncio.Task]:
-        if not self._pending:
-            return None
-        pending, self._pending = self._pending, []
-        self._pending_ids = set()
-        self._deadline = None
-        task = asyncio.get_running_loop().create_task(
-            self._run_round(pending))
-        self._rounds.add(task)
-        task.add_done_callback(self._rounds.discard)
-        return task
+        self._count()
+        self._pending_set.set()
 
     def _update_gate(self, conn: _Connection) -> None:
         if conn.queued >= self.config.pending_high and conn.gate.is_set():
@@ -507,7 +486,9 @@ class AuthServer:
         elif conn.queued <= self.config.pending_low and not conn.gate.is_set():
             conn.gate.set()
 
-    async def _run_round(self, pending: List[Tuple[_Connection, str]]) -> None:
+    async def _run_round(self, batch: List[tuple]) -> None:
+        """One flushed micro-round, scattered over its connections."""
+        pending = [request for request, __ in batch]
         for conn, __ in pending:
             conn.queued -= 1
             self._update_gate(conn)
@@ -527,7 +508,8 @@ class AuthServer:
                 )
         if not live:
             return
-        self.metrics.micro_rounds += 1
+        self._coalescer.opened(len(live))
+        self._count()
         ids = [device_id for __, device_id in live]
         try:
             nonces, challenge_frames = self.service.open_round_wire(ids)
@@ -743,7 +725,6 @@ class AuthServer:
 
     async def _dispatch(self, conn: _Connection, frame: bytes) -> bool:
         """Handle one frame; ``False`` closes the connection."""
-        from repro.fleet.verifier import AuthResponse
         try:
             message = decode_message(frame)
         except CodecError as failure:
@@ -807,8 +788,8 @@ class AuthServer:
             # Run off-loop: the verb reply must not block this reader —
             # the round it triggers may need frames from this very
             # connection.
-            flushed = len(self._pending)
-            task = self._flush()
+            flushed = self._coalescer.pending_count
+            task = self._coalescer.flush()
 
             async def _report_flush():
                 if task is not None:
@@ -819,7 +800,8 @@ class AuthServer:
             self._track(_report_flush())
             return
         if verb == "poll":
-            flushed = self._poll()
+            flushed = self._coalescer.poll() is not None
+            self._count()
             settled = list(self._rounds)   # snapshot BEFORE tracking self
 
             async def _report_poll():

@@ -4,21 +4,21 @@ The flush boundary is defined as ``clock() >= deadline`` — a ticket
 submitted at ``t`` with budget ``B`` flushes at exactly ``t + B``, not
 one tick later.  These are regression tests for that boundary, for the
 :attr:`RoundCoalescer.deadline` / :meth:`RoundCoalescer.time_to_deadline`
-timer API the network server schedules against, and for the server's
+timer API the network server schedules against, for the server's
 flush timer reading the *same* injected clock as the coalescer
-(``AuthService.clock``) rather than its own ``time.monotonic``.
+(``AuthService.clock``) rather than its own ``time.monotonic``, and for
+the in-process service and the wire server flushing the same schedule
+into the same micro-rounds.
 """
 
 import asyncio
 
-from repro.fleet import RoundCoalescer
-from repro.service import AuthService, FleetConfig
+import pytest
+
+from repro.service import AuthService, FleetConfig, ServicePolicy
 from repro.service.net import AuthClient, AuthServer
 
-from facade_bridge import provision_fleet
-
-CONFIG = dict(challenge_bits=32, n_stages=4, response_bits=16,
-              n_spot_crps=0)
+CONFIG = dict(challenge_bits=32, n_stages=4, response_bits=16)
 BUDGET = 5.0
 
 
@@ -36,11 +36,11 @@ class FakeClock:
 
 
 def clocked_coalescer(n_devices=4, seed=11):
-    __, devices, verifier = provision_fleet(n_devices, seed=seed, **CONFIG)
     clock = FakeClock()
-    coalescer = RoundCoalescer(verifier, latency_budget_s=BUDGET,
-                               max_batch=64, clock=clock)
-    return devices, coalescer, clock
+    service = AuthService.provision(FleetConfig(
+        n_devices=n_devices, seed=seed, puf=CONFIG, latency_budget_s=BUDGET,
+        max_batch=64), clock=clock)
+    return service.device_list, service.coalescer, clock
 
 
 class TestDeadlineBoundary:
@@ -94,10 +94,11 @@ class TestDeadlineBoundary:
         assert coalescer.time_to_deadline(now=clock() - 11.0) == 4.0
 
     def test_zero_budget_flushes_on_first_poll(self):
-        __, devices, verifier = provision_fleet(2, seed=12, **CONFIG)
         clock = FakeClock()
-        coalescer = RoundCoalescer(verifier, latency_budget_s=0.0,
-                                   max_batch=64, clock=clock)
+        service = AuthService.provision(FleetConfig(
+            n_devices=2, seed=12, puf=CONFIG, latency_budget_s=0.0,
+            max_batch=64), clock=clock)
+        devices, coalescer = service.device_list, service.coalescer
         ticket = coalescer.submit(devices[0])
         # deadline == now: due immediately, without the clock moving.
         assert coalescer.time_to_deadline() == 0.0
@@ -135,3 +136,80 @@ class TestServerSharesTheInjectedClock:
         assert fired_on_time
         assert ticket.accepted
         assert metrics.flushed_by_deadline == 1
+
+
+class RoundLog(ServicePolicy):
+    """Records which devices each settled round held."""
+
+    def __init__(self):
+        self.rounds = []
+
+    def after_round(self, report):
+        self.rounds.append(sorted({*report.confirmations, *report.failures}))
+
+
+#: Steps: ("submit", device, connection), ("advance", seconds), ("poll",).
+#: Every submit is followed by a poll, which on the wire is also the
+#: barrier that orders requests across connections.
+SCHEDULES = {
+    "max-batch": [("submit", 0, 0), ("submit", 1, 0)],
+    "duplicate": [("submit", 0, 0), ("submit", 0, 1)],
+    "deadline": [("submit", 0, 0), ("advance", BUDGET / 2), ("poll",),
+                 ("advance", BUDGET / 2), ("poll",)],
+}
+
+
+def policy_service(clock):
+    log = RoundLog()
+    service = AuthService.provision(
+        FleetConfig(n_devices=2, seed=14, puf=CONFIG, latency_budget_s=BUDGET,
+                    max_batch=2),
+        policies=[log], clock=clock)
+    return service, log
+
+
+def flush_counts(counters):
+    return (counters.flushed_by_size, counters.flushed_by_deadline,
+            counters.flushed_by_duplicate)
+
+
+class TestOneTriggerPolicyTwoDrivers:
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    def test_same_micro_rounds_in_process_and_on_the_wire(self, schedule):
+        clock = FakeClock()
+        steps = SCHEDULES[schedule]
+
+        service, in_process = policy_service(clock)
+        for step in steps:
+            if step[0] == "submit":
+                service.submit(service.device_list[step[1]])
+                service.poll()
+            elif step[0] == "advance":
+                clock.advance(step[1])
+            else:
+                service.poll()
+        in_process_counts = flush_counts(service.coalescer)
+
+        async def over_the_wire():
+            served, wire = policy_service(clock)
+            async with AuthServer(served) as server:
+                clients = [await AuthClient.connect("127.0.0.1", server.port)
+                           for __ in range(2)]
+                try:
+                    for step in steps:
+                        if step[0] == "submit":
+                            await clients[step[2]].submit(
+                                served.device_list[step[1]])
+                            await clients[step[2]].poll()
+                        elif step[0] == "advance":
+                            clock.advance(step[1])
+                        else:
+                            await clients[0].poll()
+                    return list(wire.rounds), flush_counts(server.metrics)
+                finally:
+                    for client in clients:
+                        await client.aclose()
+
+        wire_rounds, wire_counts = asyncio.run(over_the_wire())
+        assert in_process.rounds and wire_rounds == in_process.rounds
+        assert wire_counts == in_process_counts

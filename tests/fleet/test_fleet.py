@@ -10,8 +10,7 @@ from repro.fleet import (
 )
 from repro.protocols.mutual_auth import AuthenticationFailure
 from repro.puf.photonic_strong import PhotonicStrongPUF
-
-from facade_bridge import provision_fleet
+from repro.service import AuthService, FleetConfig
 
 
 FAST_PUF = dict(challenge_bits=32, n_stages=4, response_bits=16)
@@ -19,7 +18,8 @@ FAST_PUF = dict(challenge_bits=32, n_stages=4, response_bits=16)
 
 @pytest.fixture(scope="module")
 def fleet():
-    return provision_fleet(3, seed=42, n_spot_crps=24, **FAST_PUF)
+    service = AuthService.provision(FleetConfig(n_devices=3, seed=42, n_spot_crps=24, puf=FAST_PUF))
+    return service.registry, service.device_list, service.verifier
 
 
 class TestRegistry:
@@ -59,7 +59,8 @@ class TestRegistry:
 
 class TestBatchAuthentication:
     def test_rounds_roll_the_fleet(self):
-        registry, devices, verifier = provision_fleet(3, seed=11, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=3, seed=11, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         before = registry.response_matrix([d.device_id for d in devices]).copy()
         for _ in range(3):
             report = verifier.authenticate_fleet(devices)
@@ -74,21 +75,24 @@ class TestBatchAuthentication:
                                   registry.record(device.device_id).current_response)
 
     def test_tampered_device_rejected_others_pass(self):
-        _, devices, verifier = provision_fleet(3, seed=12, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=3, seed=12, puf=FAST_PUF))
+        devices, verifier = service.device_list, service.verifier
         devices[1].current_response = 1 - devices[1].current_response
         report = verifier.authenticate_fleet(devices)
         assert report.n_accepted == 2
         assert "MAC" in report.failures[devices[1].device_id]
 
     def test_wrong_firmware_hash_rejected(self):
-        _, devices, verifier = provision_fleet(2, seed=13, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=2, seed=13, puf=FAST_PUF))
+        devices, verifier = service.device_list, service.verifier
         devices[0].firmware_hash = b"\x00" * 32
         report = verifier.authenticate_fleet(devices)
         assert devices[0].device_id in report.failures
         assert "firmware" in report.failures[devices[0].device_id]
 
     def test_replayed_message_rejected(self):
-        _, devices, verifier = provision_fleet(1, seed=14, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=1, seed=14, puf=FAST_PUF))
+        devices, verifier = service.device_list, service.verifier
         device = devices[0]
         nonces = verifier.open_round([device.device_id])
         response = device.respond(nonces[device.device_id])
@@ -100,7 +104,8 @@ class TestBatchAuthentication:
         assert "replay" in replay.failures[device.device_id]
 
     def test_tampered_clock_count_rejected(self):
-        _, devices, verifier = provision_fleet(1, seed=18, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=1, seed=18, puf=FAST_PUF))
+        devices, verifier = service.device_list, service.verifier
         device = devices[0]
         nonces = verifier.open_round([device.device_id])
         slow = device.respond(nonces[device.device_id], tamper_factor=1.2)
@@ -108,7 +113,8 @@ class TestBatchAuthentication:
         assert "clock count" in report.failures[device.device_id]
 
     def test_lost_confirmation_does_not_desynchronize(self):
-        registry, devices, verifier = provision_fleet(1, seed=19, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=1, seed=19, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         device = devices[0]
         nonces = verifier.open_round([device.device_id])
         response = device.respond(nonces[device.device_id])
@@ -122,7 +128,8 @@ class TestBatchAuthentication:
         assert registry.record(device.device_id).sessions == 1
 
     def test_abort_discards_pending_session(self):
-        registry, devices, verifier = provision_fleet(1, seed=20, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=1, seed=20, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         device = devices[0]
         nonces = verifier.open_round([device.device_id])
         report = verifier.verify_round(
@@ -133,7 +140,8 @@ class TestBatchAuthentication:
         assert verifier.authenticate_fleet(devices).n_accepted == 1
 
     def test_unknown_device_fails_round_open(self):
-        _, _, verifier = provision_fleet(1, seed=15, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=1, seed=15, puf=FAST_PUF))
+        verifier = service.verifier
         with pytest.raises(AuthenticationFailure):
             verifier.open_round(["ghost"])
 
@@ -158,15 +166,17 @@ class TestSpotCheck:
         assert left_after == left_before - 4
 
     def test_pool_exhaustion_raises(self):
-        _, devices, verifier = provision_fleet(1, seed=16, n_spot_crps=4,
-                                               **FAST_PUF)
+        service = AuthService.provision(FleetConfig(
+            n_devices=1, seed=16, n_spot_crps=4, puf=FAST_PUF))
+        devices, verifier = service.device_list, service.verifier
         verifier.spot_check(devices, k=4)
         with pytest.raises(AuthenticationFailure):
             verifier.spot_check(devices, k=1)
 
     def test_cloned_device_rejected(self):
-        registry, devices, verifier = provision_fleet(1, seed=17,
-                                                      n_spot_crps=16, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(
+            n_devices=1, seed=17, n_spot_crps=16, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         # A clone built from the same design but a different die.
         clone_puf = PhotonicStrongPUF(seed=17, die_index=99, **FAST_PUF)
         clone = FleetDevice(devices[0].device_id, clone_puf)

@@ -20,11 +20,9 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.fleet.registry import FleetRegistry
 from repro.fleet.verifier import BatchVerifier, CommitLog
 from repro.protocols.mutual_auth import AuthenticationFailure
-
-from facade_bridge import provision_fleet
+from repro.service import AuthService, FleetConfig
 
 FAST_PUF = dict(challenge_bits=32, n_stages=4, response_bits=16)
 
@@ -39,7 +37,8 @@ def assert_synchronized(registry, devices):
 
 class TestEpochPartitioning:
     def test_stream_epoch_is_the_replica_residue_class(self):
-        registry, devices, _ = provision_fleet(1, seed=5, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=1, seed=5, puf=FAST_PUF))
+        registry, devices = service.registry, service.device_list
         for n_replicas, index, epoch in itertools.product(
                 (1, 2, 3, 5), range(5), range(4)):
             if index >= n_replicas:
@@ -54,7 +53,8 @@ class TestEpochPartitioning:
         # A verifier with default replica parameters must issue
         # bit-identical nonces to the pre-replication code path, so
         # single-server deployments see no behavior change.
-        registry, devices, _ = provision_fleet(3, seed=11, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=3, seed=11, puf=FAST_PUF))
+        registry, devices = service.registry, service.device_list
         ids = [device.device_id for device in devices]
         solo = BatchVerifier(registry, seed=11)
         explicit = BatchVerifier(registry, seed=11, nonce_epoch=0,
@@ -63,7 +63,8 @@ class TestEpochPartitioning:
         assert solo.open_round(ids) == explicit.open_round(ids)
 
     def test_invalid_replica_geometry_rejected(self):
-        registry, _, _ = provision_fleet(1, seed=5, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=1, seed=5, puf=FAST_PUF))
+        registry = service.registry
         with pytest.raises(ValueError):
             BatchVerifier(registry, n_replicas=0)
         with pytest.raises(ValueError):
@@ -77,7 +78,8 @@ class TestEpochPartitioning:
         # The property the chaos campaign wiretap asserts end-to-end,
         # swept directly: N replicas x M crash/restore cycles x R
         # rounds each, every nonce ever issued is unique.
-        registry, devices, _ = provision_fleet(4, seed=23, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=4, seed=23, puf=FAST_PUF))
+        registry, devices = service.registry, service.device_list
         ids = [device.device_id for device in devices]
         issued = []
         epochs = [0] * n_replicas
@@ -95,7 +97,8 @@ class TestEpochPartitioning:
         assert len(issued) == len(set(issued)), "nonce reuse across replicas"
 
     def test_from_state_bumps_epoch_but_keeps_residue(self):
-        registry, devices, _ = provision_fleet(2, seed=7, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=2, seed=7, puf=FAST_PUF))
+        registry, devices = service.registry, service.device_list
         verifier = BatchVerifier(registry, seed=7, nonce_epoch=4,
                                  replica_index=1, n_replicas=3)
         restored = BatchVerifier.from_state(registry, verifier.to_state())
@@ -151,7 +154,8 @@ class TestCrashRecovery:
         """Drive a round to the crash window: the victim device has
         rolled on its confirmation, but the coordinator died before
         finalize — registry one CRP behind, candidate parked."""
-        registry, devices, _ = provision_fleet(n, seed=seed, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=n, seed=seed, puf=FAST_PUF))
+        registry, devices = service.registry, service.device_list
         log = CommitLog()
         primary = BatchVerifier(registry, seed=seed, nonce_epoch=0,
                                 replica_index=0, n_replicas=2,
@@ -211,7 +215,8 @@ class TestCrashRecovery:
         # Device never saw the confirmation (it was dropped, not the
         # ack): both sides are still on the old CRP, so the abort is
         # unambiguous and the parked candidate must go.
-        registry, devices, _ = provision_fleet(2, seed=47, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=2, seed=47, puf=FAST_PUF))
+        registry, devices = service.registry, service.device_list
         log = CommitLog()
         verifier = BatchVerifier(registry, seed=47, commit_log=log)
         report, nonces = run_round(verifier, devices)
@@ -277,7 +282,8 @@ class TestCrashRecovery:
     def test_unexposed_entry_dropped_by_unambiguous_abort(self):
         # Counterpart: if the confirmation never left the server the
         # device cannot have rolled, so a clean abort discards the park.
-        registry, devices, _ = provision_fleet(2, seed=67, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=2, seed=67, puf=FAST_PUF))
+        registry, devices = service.registry, service.device_list
         log = CommitLog()
         verifier = BatchVerifier(registry, seed=67, commit_log=log)
         run_round(verifier, devices)

@@ -11,9 +11,8 @@ import numpy as np
 from repro.crypto.mac import mac as compute_mac
 from repro.fleet.verifier import AuthResponse
 from repro.protocols.mutual_auth import FailureKind, _pad_bits
+from repro.service import AuthService, FleetConfig
 from repro.utils.serialization import decode_fields, encode_fields
-
-from facade_bridge import provision_fleet
 
 
 FAST_PUF = dict(challenge_bits=32, n_stages=4, response_bits=16)
@@ -47,7 +46,8 @@ def assert_synchronized(registry, devices):
 
 class TestMalformedBody:
     def test_undecodable_body_fails_only_that_device(self):
-        registry, devices, verifier = provision_fleet(3, seed=31, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=3, seed=31, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         victim, *honest = devices
         nonces = verifier.open_round([d.device_id for d in devices])
         poison = forge(victim, b"\xff\xff\xff\xff-not-length-prefixed")
@@ -60,7 +60,8 @@ class TestMalformedBody:
         assert_synchronized(registry, devices)
 
     def test_wrong_field_count_fails_only_that_device(self):
-        registry, devices, verifier = provision_fleet(2, seed=32, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=2, seed=32, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         victim, honest = devices
         nonces = verifier.open_round([d.device_id for d in devices])
         poison = forge(victim, encode_fields([b"\x00" * 4, b"three-fields"]))
@@ -74,7 +75,8 @@ class TestMalformedBody:
 
     def test_truncated_masked_field_fails_only_that_device(self):
         # The short row used to crash np.vstack for the whole round.
-        registry, devices, verifier = provision_fleet(3, seed=33, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=3, seed=33, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         victim, *honest = devices
         nonces = verifier.open_round([d.device_id for d in devices])
         genuine = victim.respond(nonces[victim.device_id])
@@ -93,7 +95,8 @@ class TestMalformedBody:
 
 class TestDuplicateDevice:
     def test_second_occurrence_rejected(self):
-        registry, devices, verifier = provision_fleet(2, seed=34, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=2, seed=34, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         victim, honest = devices
         nonces = verifier.open_round([d.device_id for d in devices])
         genuine = victim.respond(nonces[victim.device_id])
@@ -119,7 +122,8 @@ class TestDuplicateDevice:
         assert registry.record(victim.device_id).sessions == 1
 
     def test_exact_duplicate_still_counts_as_duplicate_not_crash(self):
-        _, devices, verifier = provision_fleet(1, seed=35, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=1, seed=35, puf=FAST_PUF))
+        devices, verifier = service.device_list, service.verifier
         device = devices[0]
         nonces = verifier.open_round([device.device_id])
         message = device.respond(nonces[device.device_id])
@@ -131,7 +135,8 @@ class TestDuplicateDevice:
 
 class TestReplayAndRetry:
     def test_replayed_tag_within_round_lifetime(self):
-        _, devices, verifier = provision_fleet(1, seed=36, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=1, seed=36, puf=FAST_PUF))
+        devices, verifier = service.device_list, service.verifier
         device = devices[0]
         nonces = verifier.open_round([device.device_id])
         message = device.respond(nonces[device.device_id])
@@ -143,7 +148,8 @@ class TestReplayAndRetry:
             FailureKind.REPLAY.value
 
     def test_replay_after_finalize_fails_mac_not_crash(self):
-        registry, devices, verifier = provision_fleet(1, seed=37, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=1, seed=37, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         device = devices[0]
         nonces = verifier.open_round([device.device_id])
         message = device.respond(nonces[device.device_id])
@@ -159,7 +165,8 @@ class TestReplayAndRetry:
         assert_synchronized(registry, devices)
 
     def test_lost_confirmation_then_retry_resynchronizes(self):
-        registry, devices, verifier = provision_fleet(2, seed=38, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=2, seed=38, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         unlucky, steady = devices
         nonces = verifier.open_round([d.device_id for d in devices])
         report = verifier.verify_round(
@@ -182,7 +189,8 @@ class TestReplayAndRetry:
 
 class TestFailureTaxonomy:
     def test_report_kinds_match_shared_taxonomy(self):
-        _, devices, verifier = provision_fleet(2, seed=39, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=2, seed=39, puf=FAST_PUF))
+        devices, verifier = service.device_list, service.verifier
         tampered, _ = devices
         nonces = verifier.open_round([d.device_id for d in devices])
         messages = [tampered.respond(nonces[tampered.device_id],
@@ -196,7 +204,8 @@ class TestFailureTaxonomy:
                    for kind in report.failure_kinds.values())
 
     def test_verifier_memory_flat_after_finalize(self):
-        _, devices, verifier = provision_fleet(2, seed=40, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=2, seed=40, puf=FAST_PUF))
+        devices, verifier = service.device_list, service.verifier
         for _ in range(5):
             report = verifier.authenticate_fleet(devices)
             assert report.n_accepted == 2
@@ -207,7 +216,8 @@ class TestFailureTaxonomy:
         # A device that never reaches finalize (e.g. tampered forever)
         # must not grow the replay cache: rejected messages fail the same
         # deterministic checks again, so their tags are never stored.
-        _, devices, verifier = provision_fleet(1, seed=41, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=1, seed=41, puf=FAST_PUF))
+        devices, verifier = service.device_list, service.verifier
         device = devices[0]
         for _ in range(5):
             nonces = verifier.open_round([device.device_id])

@@ -21,8 +21,6 @@ from repro.protocols.mutual_auth import FailureKind
 from repro.service import AuthService, FleetConfig
 
 
-from facade_bridge import provision_fleet
-
 FAST_PUF = dict(challenge_bits=32, n_stages=4, response_bits=16)
 
 
@@ -205,8 +203,8 @@ class TestAcceptanceCampaign:
         from repro.fleet.verifier import AuthResponse
         from repro.protocols.mutual_auth import _pad_bits
 
-        registry, devices, verifier = provision_fleet(64, seed=73,
-                                                      **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=64, seed=73, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         victim, *honest = devices
         nonces = verifier.open_round([d.device_id for d in devices])
         body = b"firmware-bug: not length-prefixed"

@@ -9,9 +9,8 @@ from repro.fleet import (
     FleetRegistry,
 )
 from repro.protocols.mutual_auth import AuthenticationFailure
+from repro.service import AuthService, FleetConfig
 from repro.utils.serialization import load_state, save_state
-
-from facade_bridge import provision_fleet
 
 
 FAST_PUF = dict(challenge_bits=32, n_stages=4, response_bits=16)
@@ -44,8 +43,9 @@ class TestStateArchive:
 
 class TestRegistryPersistence:
     def test_state_round_trip_preserves_records(self):
-        registry, devices, verifier = provision_fleet(
-            3, seed=51, n_spot_crps=8, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(
+            n_devices=3, seed=51, n_spot_crps=8, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         verifier.authenticate_fleet(devices)  # roll once so sessions > 0
         verifier.spot_check(devices, k=3)     # burn some spot CRPs
         clone = FleetRegistry.from_state(registry.to_state())
@@ -68,8 +68,9 @@ class TestRegistryPersistence:
             assert restored.spot_crps_left == original.spot_crps_left
 
     def test_state_is_a_value_capture(self):
-        registry, devices, verifier = provision_fleet(
-            1, seed=52, n_spot_crps=8, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(
+            n_devices=1, seed=52, n_spot_crps=8, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         state = registry.to_state()
         before = registry.record(devices[0].device_id).current_response.copy()
         verifier.authenticate_fleet(devices)   # mutates the live registry
@@ -81,8 +82,9 @@ class TestRegistryPersistence:
         assert record.spot_crps_left == 8
 
     def test_file_round_trip(self, tmp_path):
-        registry, devices, verifier = provision_fleet(
-            2, seed=53, n_spot_crps=4, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(
+            n_devices=2, seed=53, n_spot_crps=4, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         verifier.authenticate_fleet(devices)
         written = registry.save(str(tmp_path / "registry"))
         loaded = FleetRegistry.load(written)
@@ -94,7 +96,8 @@ class TestRegistryPersistence:
             )
 
     def test_restored_registry_authenticates(self):
-        registry, devices, verifier = provision_fleet(3, seed=54, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=3, seed=54, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         verifier.authenticate_fleet(devices)
         restored = FleetRegistry.from_state(registry.to_state())
         fresh = BatchVerifier.from_state(restored, verifier.to_state())
@@ -112,7 +115,8 @@ class TestRegistryPersistence:
                               "devices": []}, "arrays": {}})
 
     def test_revoke_removes_record(self):
-        registry, devices, verifier = provision_fleet(2, seed=55, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=2, seed=55, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         victim = devices[0].device_id
         registry.revoke(victim)
         assert victim not in registry
@@ -125,7 +129,8 @@ class TestRegistryPersistence:
 
 class TestDeviceState:
     def test_round_trip_preserves_session_state(self):
-        registry, devices, verifier = provision_fleet(1, seed=56, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=1, seed=56, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         device = devices[0]
         verifier.authenticate_fleet(devices)
         clone = FleetDevice.from_state(device.to_state(), device.puf)
@@ -150,7 +155,8 @@ class TestDeviceState:
 
 class TestVerifierState:
     def test_nonce_counter_survives_restart(self):
-        registry, devices, verifier = provision_fleet(2, seed=58, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=2, seed=58, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         verifier.authenticate_fleet(devices)
         counter = verifier._nonce_counter
         assert counter > 0
@@ -171,7 +177,8 @@ class TestVerifierState:
         # Snapshot early, keep running, crash, restore the *old* state:
         # the epoch bump must keep every post-restart nonce fresh even
         # though the restored counter lags the crashed verifier's.
-        registry, devices, verifier = provision_fleet(2, seed=59, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=2, seed=59, puf=FAST_PUF))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         stale_state = verifier.to_state()
         issued_after_snapshot = set()
         for _ in range(3):
@@ -186,7 +193,8 @@ class TestVerifierState:
         assert not issued_after_snapshot & reissued
 
     def test_epoch_advances_on_every_restore(self):
-        registry, _, verifier = provision_fleet(1, seed=60, **FAST_PUF)
+        service = AuthService.provision(FleetConfig(n_devices=1, seed=60, puf=FAST_PUF))
+        registry, verifier = service.registry, service.verifier
         once = BatchVerifier.from_state(registry, verifier.to_state())
         twice = BatchVerifier.from_state(registry, once.to_state())
         assert (verifier._nonce_epoch, once._nonce_epoch,

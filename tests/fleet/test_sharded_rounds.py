@@ -18,25 +18,25 @@ from repro.fleet import (
     respond_round as respond_fleet,
     respond_round_staged as respond_fleet_staged,
 )
-
-from facade_bridge import provision_fleet
+from repro.service import AuthService, EngineConfig, FleetConfig
 
 N_DEVICES = 10
-CONFIG = dict(challenge_bits=32, n_stages=6, response_bits=16,
-              n_spot_crps=8)
+CONFIG = dict(n_spot_crps=8,
+              puf=dict(challenge_bits=32, n_stages=6, response_bits=16))
 SEED = 77
 
 
 @pytest.fixture(scope="module")
 def plain_fleet():
-    return provision_fleet(N_DEVICES, seed=SEED, stacked=True, **CONFIG)
+    service = AuthService.provision(FleetConfig(n_devices=N_DEVICES, seed=SEED, **CONFIG))
+    return service.registry, service.device_list, service.verifier
 
 
 @pytest.fixture()
 def sharded_fleet():
-    registry, devices, verifier = provision_fleet(
-        N_DEVICES, seed=SEED, stacked=True, shard_workers=3, **CONFIG
-    )
+    service = AuthService.provision(FleetConfig(
+        n_devices=N_DEVICES, seed=SEED, engine=EngineConfig(shard_workers=3), **CONFIG))
+    registry, devices, verifier = service.registry, service.device_list, service.verifier
     yield registry, devices, verifier
     devices[0].plane.close_executor()
 
@@ -63,9 +63,8 @@ class TestShardedTranscripts:
 
     def test_round_transcripts_bitwise_equal(self, sharded_fleet):
         """Fresh plain fleet vs sharded fleet: identical byte streams."""
-        __, devices1, verifier1 = provision_fleet(
-            N_DEVICES, seed=SEED, stacked=True, **CONFIG
-        )
+        service = AuthService.provision(FleetConfig(n_devices=N_DEVICES, seed=SEED, **CONFIG))
+        devices1, verifier1 = service.device_list, service.verifier
         __, devices2, verifier2 = sharded_fleet
         for __ in range(3):
             nonces1 = verifier1.open_round(
@@ -93,9 +92,8 @@ class TestShardedTranscripts:
                     verifier.finalize(device.device_id)
 
     def test_authenticate_fleet_pipeline_equal(self, sharded_fleet):
-        __, devices1, verifier1 = provision_fleet(
-            N_DEVICES, seed=SEED, stacked=True, **CONFIG
-        )
+        service = AuthService.provision(FleetConfig(n_devices=N_DEVICES, seed=SEED, **CONFIG))
+        devices1, verifier1 = service.device_list, service.verifier
         __, devices2, verifier2 = sharded_fleet
         for __ in range(2):
             report1 = verifier1.authenticate_fleet(devices1)
@@ -104,9 +102,8 @@ class TestShardedTranscripts:
             assert report1.confirmations == report2.confirmations
 
     def test_spot_check_equal(self, sharded_fleet):
-        __, devices1, verifier1 = provision_fleet(
-            N_DEVICES, seed=SEED, stacked=True, **CONFIG
-        )
+        service = AuthService.provision(FleetConfig(n_devices=N_DEVICES, seed=SEED, **CONFIG))
+        devices1, verifier1 = service.device_list, service.verifier
         __, devices2, verifier2 = sharded_fleet
         spot1 = verifier1.spot_check(devices1, k=4)
         spot2 = verifier2.spot_check(devices2, k=4)
@@ -115,9 +112,8 @@ class TestShardedTranscripts:
 
     def test_mixed_attached_detached_round(self, sharded_fleet):
         """Half the fleet detached mid-round: transcripts still match."""
-        __, devices1, verifier1 = provision_fleet(
-            N_DEVICES, seed=SEED, stacked=True, **CONFIG
-        )
+        service = AuthService.provision(FleetConfig(n_devices=N_DEVICES, seed=SEED, **CONFIG))
+        devices1, verifier1 = service.device_list, service.verifier
         __, devices2, verifier2 = sharded_fleet
         detached = [1, 4, 8]
         for index in detached:
@@ -158,9 +154,8 @@ class TestShardedTranscripts:
 
     def test_worker_crash_mid_campaign_stays_synchronized(self,
                                                           sharded_fleet):
-        __, devices1, verifier1 = provision_fleet(
-            N_DEVICES, seed=SEED, stacked=True, **CONFIG
-        )
+        service = AuthService.provision(FleetConfig(n_devices=N_DEVICES, seed=SEED, **CONFIG))
+        devices1, verifier1 = service.device_list, service.verifier
         __, devices2, verifier2 = sharded_fleet
         executor = devices2[0].plane.executor
         report = verifier2.authenticate_fleet(devices2)
@@ -179,9 +174,8 @@ class TestShardedTranscripts:
 
 class TestSimulatorShardedPath:
     def test_campaign_over_sharded_plane(self):
-        registry, devices, verifier = provision_fleet(
-            8, seed=5, stacked=True, **CONFIG
-        )
+        service = AuthService.provision(FleetConfig(n_devices=8, seed=5, **CONFIG))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         simulator = FleetSimulator(registry, devices, verifier, seed=5,
                                    shard_workers=2)
         try:
@@ -196,9 +190,8 @@ class TestSimulatorShardedPath:
     def test_campaign_matches_single_process(self):
         outcomes = []
         for shard_workers in (None, 2):
-            registry, devices, verifier = provision_fleet(
-                6, seed=9, stacked=True, **CONFIG
-            )
+            service = AuthService.provision(FleetConfig(n_devices=6, seed=9, **CONFIG))
+            registry, devices, verifier = service.registry, service.device_list, service.verifier
             simulator = FleetSimulator(registry, devices, verifier, seed=9,
                                        shard_workers=shard_workers)
             try:
@@ -216,10 +209,13 @@ class TestSimulatorShardedPath:
 class TestRoundCoalescer:
     @pytest.fixture()
     def clocked(self, sharded_fleet):
-        __, devices, verifier = sharded_fleet
+        registry, devices, verifier = sharded_fleet
         now = [0.0]
-        coalescer = RoundCoalescer(verifier, latency_budget_s=1.0,
-                                   max_batch=4, clock=lambda: now[0])
+        coalescer = AuthService(
+            registry, devices, verifier,
+            config=FleetConfig(n_devices=N_DEVICES, latency_budget_s=1.0,
+                               max_batch=4),
+            clock=lambda: now[0]).coalescer
         return devices, coalescer, now
 
     def test_holds_until_deadline(self, clocked):
@@ -307,8 +303,8 @@ class TestRoundCoalescer:
         assert coalescer.micro_rounds == 0
 
     def test_validation(self, sharded_fleet):
-        __, __, verifier = sharded_fleet
+        registry, __, __ = sharded_fleet
         with pytest.raises(ValueError):
-            RoundCoalescer(verifier, latency_budget_s=-1.0)
+            RoundCoalescer(registry.record, list, latency_budget_s=-1.0)
         with pytest.raises(ValueError):
-            RoundCoalescer(verifier, max_batch=0)
+            RoundCoalescer(registry.record, list, max_batch=0)

@@ -25,7 +25,7 @@ from repro.protocols.mutual_auth import (
 from repro.puf.photonic_strong import PhotonicFleet, PhotonicStrongPUF
 from repro.puf import photonic_strong_family
 
-from facade_bridge import provision_fleet
+from repro.service import AuthService, EngineConfig, FleetConfig
 
 CFG = dict(challenge_bits=32, n_stages=3, response_bits=16)
 FLEET = 6
@@ -33,11 +33,11 @@ FLEET = 6
 
 @pytest.fixture(scope="module")
 def fleets():
-    stacked = provision_fleet(FLEET, seed=42, n_spot_crps=12, stacked=True,
-                              **CFG)
-    legacy = provision_fleet(FLEET, seed=42, n_spot_crps=12, stacked=False,
-                             **CFG)
-    return stacked, legacy
+    stacked, legacy = (AuthService.provision(FleetConfig(
+        n_devices=FLEET, seed=42, n_spot_crps=12,
+        engine=EngineConfig(stacked=mode), puf=CFG)) for mode in (True, False))
+    return ((stacked.registry, stacked.device_list, stacked.verifier),
+            (legacy.registry, legacy.device_list, legacy.verifier))
 
 
 class TestStackedProvisioning:
@@ -104,10 +104,11 @@ class TestStackedRounds:
     def test_spot_check_matches_per_device_path(self):
         # Fresh fleets: spot responses depend on each device's measurement
         # counter, so both sides must start from identical histories.
-        __, s_dev, s_ver = provision_fleet(FLEET, seed=43, n_spot_crps=12,
-                                           stacked=True, **CFG)
-        __, l_dev, l_ver = provision_fleet(FLEET, seed=43, n_spot_crps=12,
-                                           stacked=False, **CFG)
+        stacked, legacy = (AuthService.provision(FleetConfig(
+            n_devices=FLEET, seed=43, n_spot_crps=12,
+            engine=EngineConfig(stacked=mode), puf=CFG)) for mode in (True, False))
+        s_dev, s_ver = stacked.device_list, stacked.verifier
+        l_dev, l_ver = legacy.device_list, legacy.verifier
         s_spot = s_ver.spot_check(s_dev, k=4)
         l_spot = l_ver.spot_check(l_dev, k=4)
         assert np.array_equal(s_spot.fractional_hd, l_spot.fractional_hd)
@@ -202,9 +203,8 @@ class TestBatchedDerivations:
 
 class TestStackedLifecycle:
     def test_hostile_campaign_with_stacked_plane(self):
-        registry, devices, verifier = provision_fleet(
-            8, seed=77, stacked=True, **CFG
-        )
+        service = AuthService.provision(FleetConfig(n_devices=8, seed=77, puf=CFG))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         simulator = FleetSimulator(
             registry, devices, verifier,
             faults=FaultModel(confirmation_drop=0.2, response_drop=0.1,
@@ -217,9 +217,8 @@ class TestStackedLifecycle:
         assert stats.authenticated > 0
 
     def test_churned_device_falls_back_per_device(self):
-        registry, devices, verifier = provision_fleet(
-            4, seed=13, stacked=True, **CFG
-        )
+        service = AuthService.provision(FleetConfig(n_devices=4, seed=13, puf=CFG))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         newcomer = FleetDevice(
             "dev-churn-000001",
             PhotonicStrongPUF(seed=13, die_index=1_000_001, **CFG),
@@ -231,8 +230,8 @@ class TestStackedLifecycle:
         assert report.n_accepted == 5
 
     def test_enroll_fleet_rejects_duplicates_before_committing(self):
-        registry, devices, __ = provision_fleet(3, seed=31, stacked=True,
-                                                **CFG)
+        service = AuthService.provision(FleetConfig(n_devices=3, seed=31, puf=CFG))
+        registry, devices = service.registry, service.device_list
         fresh = FleetRegistry()
         with pytest.raises(ValueError):
             fresh.enroll_fleet([devices[0], devices[1], devices[0]],
@@ -243,9 +242,8 @@ class TestStackedLifecycle:
         assert len(fresh) == 3
 
     def test_restored_registry_round_without_plane(self):
-        registry, devices, verifier = provision_fleet(
-            3, seed=21, stacked=True, **CFG
-        )
+        service = AuthService.provision(FleetConfig(n_devices=3, seed=21, puf=CFG))
+        registry, devices, verifier = service.registry, service.device_list, service.verifier
         verifier.authenticate_fleet(devices)
         restored_registry = FleetRegistry.from_state(registry.to_state())
         restored = BatchVerifier.from_state(restored_registry,

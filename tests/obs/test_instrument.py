@@ -46,7 +46,7 @@ from repro.service.net.stream import read_frame, write_frame
 from repro.service.policy import AuditLogPolicy
 
 FAST_PUF = dict(challenge_bits=32, n_stages=4, response_bits=16)
-FAST_NET = NetConfig(response_timeout_s=2.0, latency_budget_s=0.005)
+FAST_NET = NetConfig(response_timeout_s=2.0)
 
 
 def provision(n_devices=4, seed=7, **kwargs):

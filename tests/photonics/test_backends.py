@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.fleet import Adversary, FaultModel, ReplayAdversary, TamperAdversary
+from repro.photonics import backend as backend_module
 from repro.photonics.backend import (
     ArrayBackend,
     BackendUnavailable,
@@ -66,17 +67,15 @@ def gemm_inputs(seed=11, fleet=5, channels=8, samples=48, columns=24):
             rng.standard_normal((fleet, samples, columns)))
 
 
-# A registered-but-always-identical backend: exercises the non-numpy
-# engine code paths (backend-routed scans/GEMMs, worker-side resolution
-# by name) without needing an optional toolchain.
-@register_backend
+# An always-identical backend: exercises the non-numpy engine code
+# paths (backend-routed scans/GEMMs, worker-side resolution by name)
+# without needing an optional toolchain.
 class _MirrorBackend(NumpyBackend):
     name = "mirror-test"
 
 
-# A registered backend whose ring scan is wrong: exercises the
+# A backend whose ring scan is wrong: exercises the
 # fail-self-check-then-fall-back path.
-@register_backend
 class _BrokenBackend(NumpyBackend):
     name = "broken-test"
 
@@ -84,9 +83,28 @@ class _BrokenBackend(NumpyBackend):
         return -super().ring_scan(fields, tau, rho, feedback, delay)
 
 
+@pytest.fixture(scope="module")
+def test_backends():
+    """Register the two test-only backends for this module's tests.
+
+    The registry and its instance cache are restored on teardown, so
+    the test backends never reach another module (the fleet bench
+    sweeps every registered backend).
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backend_module, "_REGISTRY",
+                      dict(backend_module._REGISTRY))
+        patch.setattr(backend_module, "_INSTANCES",
+                      dict(backend_module._INSTANCES))
+        register_backend(_MirrorBackend)
+        register_backend(_BrokenBackend)
+        yield
+
+
 class TestRegistry:
     def test_standard_backends_registered(self):
-        assert {"numpy", "numba", "cupy", "torch"} <= set(backend_names())
+        # Runs before the module fixture registers the test backends.
+        assert backend_names() == ("numba", "numpy")
 
     def test_numpy_always_available_and_first(self):
         names = available_backend_names()
@@ -124,6 +142,7 @@ class TestRegistry:
         assert backend is get_backend("numpy")
         assert reason is not None and name in reason
 
+    @pytest.mark.usefixtures("test_backends")
     def test_failing_self_check_falls_back_with_reason(self):
         backend, reason = resolve_backend("broken-test")
         assert backend is get_backend("numpy")
@@ -262,12 +281,6 @@ class TestBackendContract:
         )
         np.testing.assert_allclose(out, reference, rtol=RTOL, atol=ATOL)
 
-    def test_device_round_trip(self, name):
-        backend = checked_backend(name)
-        array = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(backend.from_device(backend.to_device(array)),
-                              array)
-
 
 @pytest.fixture(scope="module")
 def scramblers():
@@ -279,6 +292,7 @@ def scramblers():
     ]
 
 
+@pytest.mark.usefixtures("test_backends")
 class TestEngineIntegration:
     """Backend selection threads through the mesh/fleet/shard layers."""
 
@@ -378,6 +392,7 @@ class TestEngineConfigBackend:
         with pytest.raises(ValueError, match="unknown fleet config"):
             FleetConfig.from_state(state)
 
+    @pytest.mark.usefixtures("test_backends")
     def test_fleet_config_round_trips_backend(self):
         config = FleetConfig(n_devices=2,
                              engine=EngineConfig(backend="mirror-test"))
@@ -464,6 +479,7 @@ class TestCampaignTranscriptEquality:
         # numpy transparently and still produce identical bytes.
         assert_campaigns_identical(numpy_campaign, run_hostile_campaign(name))
 
+    @pytest.mark.usefixtures("test_backends")
     def test_sharded_transcripts_bit_identical(self, numpy_campaign):
         names = [name for name in available_backend_names()
                  if name != "numpy"] or ["mirror-test"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.fleet import FaultModel, FleetDevice, FleetSimulator
+from repro.obs import instrument_service, parse_prometheus, render_prometheus
 from repro.protocols.mutual_auth import AuthenticationFailure, FailureKind
 from repro.puf.photonic_strong import PhotonicStrongPUF
 from repro.service import (
@@ -145,6 +146,27 @@ class TestVerbs:
         assert survivor.accepted
         assert victim.done and not victim.accepted
         assert victim.failure_kind == FailureKind.NOT_ENROLLED.value
+
+    def test_every_micro_round_is_audited_and_timed(self):
+        # Regression: micro-rounds flushed inside submit (by size or by
+        # a duplicate device) skipped the after_round hooks and the
+        # round-latency histogram; only poll()/flush() ran them.
+        audit = AuditLogPolicy()
+        service = build(n=4, policies=[audit], max_batch=2,
+                        latency_budget_s=60.0)
+        registry = instrument_service(service).registry
+        first, second = service.device_list[:2]
+        service.submit(first)
+        service.submit(second)                 # size flush
+        service.submit(first)
+        service.submit(first)                  # duplicate flush
+        service.flush()
+        scrape = parse_prometheus(render_prometheus(registry.snapshot()))
+        assert service.coalescer.micro_rounds == 3
+        assert scrape[("repro_coalescer_micro_rounds_total", ())] == 3
+        assert [entry["event"] for entry in audit.events] == ["round"] * 3
+        assert scrape[("repro_service_round_latency_seconds_count",
+                       (("phase", "flush"),))] == 3
 
     def test_simulator_is_just_another_client(self):
         service = build(n=4, seed=31,

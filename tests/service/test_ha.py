@@ -31,7 +31,7 @@ from repro.service.policy import NETWORK_TRANSIENT_KINDS
 
 FAST_PUF = dict(challenge_bits=32, n_stages=4, response_bits=16,
                 noise_mw=0.0)
-FAST_NET = NetConfig(response_timeout_s=2.0, latency_budget_s=0.005)
+FAST_NET = NetConfig(response_timeout_s=2.0)
 FAST_HA = HAConfig(n_replicas=3, lease_timeout_s=0.3,
                    heartbeat_interval_s=0.05)
 

@@ -1,14 +1,13 @@
-"""End-to-end transcript equality: facade vs legacy entry points.
+"""End-to-end transcript equality: facade vs hand-wired simulator.
 
 The acceptance gate of the service redesign: a 64-device hostile
-campaign driven through :class:`AuthService` must produce *bit-identical*
-round transcripts to the legacy ``provision_fleet`` /
-``authenticate_fleet`` path — the facade changes the API surface, never
-a byte of protocol traffic — and every wire message observed on the way
-must round-trip exactly through the versioned codec.
+campaign driven through :meth:`AuthService.simulator` must produce
+*bit-identical* round transcripts to a :class:`FleetSimulator` wired by
+hand onto the same provisioned registry, devices and verifier — the
+facade changes the API surface, never a byte of protocol traffic — and
+every wire message observed on the way must round-trip exactly through
+the versioned codec.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from repro.fleet import (
     FleetSimulator,
     ReplayAdversary,
     TamperAdversary,
-    provision_fleet,
 )
 from repro.service import (
     AuthConfirmation,
@@ -58,10 +56,10 @@ class TranscriptRecorder(Adversary):
 
 
 def legacy_campaign(n_rounds):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        registry, devices, verifier = provision_fleet(FLEET, seed=SEED,
-                                                      **FAST_PUF)
+    service = AuthService.provision(FleetConfig(
+        n_devices=FLEET, seed=SEED, puf=FAST_PUF))
+    registry, devices, verifier = (
+        service.registry, service.device_list, service.verifier)
     recorder = TranscriptRecorder()
     simulator = FleetSimulator(
         registry, devices, verifier, seed=SEED, faults=HOSTILE["faults"],

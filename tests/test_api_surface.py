@@ -126,12 +126,3 @@ class TestSupportedEntryPoints:
         from repro.service.policy import NETWORK_TRANSIENT_KINDS
         taxonomy = {kind.value for kind in FailureKind}
         assert NETWORK_TRANSIENT_KINDS <= taxonomy
-
-    def test_deprecated_shims_still_importable(self):
-        # Importing must not warn (calling does) — pinned so the shims
-        # survive until their announced removal.
-        from repro.fleet import (  # noqa: F401
-            provision_fleet,
-            respond_fleet,
-            respond_fleet_staged,
-        )
