@@ -20,11 +20,12 @@ the whole family into ``(fleet, ...)`` tensors at provision time:
 * **response kernels** — because the scrambler is linear and every
   interrogation launches on one channel, the first ``S`` output samples
   depend only on the first ``S`` taps of the die's impulse response.
-  :meth:`modulated_response` therefore evaluates a whole round as one
-  batched FFT convolution against precomputed ``(fleet, channels, N)``
-  spectra (*exact* for outputs below ``S`` — no truncation error), and
   :meth:`response_power_at` evaluates only the bit-slot samples the
-  protocol compares, as two fleet-batched real GEMMs.
+  protocol compares, as two fleet-batched real GEMMs against those
+  time-domain taps; :meth:`modulated_response` evaluates full output
+  streams as one batched FFT convolution against ``(fleet, channels, N)``
+  spectra (*exact* for outputs below ``S`` — no truncation error) that
+  are built from the taps the first time a full stream is asked for.
 
 Per-die environments are supported (a "ragged" fleet operating at
 different temperatures stacks per-die operators compiled at each die's
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.photonics.backend import ArrayBackend, resolve_backend
 from repro.photonics.constants import DEFAULT_WAVELENGTH, SILICON_DN_DT
@@ -235,6 +237,27 @@ def _fft_length(n_samples: int) -> int:
     return int(next_fast_len(2 * n_samples - 1, real=False))
 
 
+def _check_samples(samples, n_samples: int) -> np.ndarray:
+    """Bit-slot sample positions as 1-D ``intp`` in ``[0, n_samples)``.
+
+    Raises ``ValueError`` otherwise: a negative position would read the
+    drive through a wrapped index instead of failing.
+    """
+    samples = np.asarray(samples)
+    if samples.ndim != 1:
+        raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
+    if samples.size == 0:
+        return samples.astype(np.intp)
+    if samples.dtype.kind not in "iu":
+        raise ValueError(f"samples must be integers, got {samples.dtype}")
+    low, high = int(samples.min()), int(samples.max())
+    if low < 0 or high >= n_samples:
+        raise ValueError(
+            f"samples must lie in [0, {n_samples}), got [{low}, {high}]"
+        )
+    return samples.astype(np.intp, copy=False)
+
+
 @dataclass(frozen=True)
 class CompiledFleet:
     """Dense, environment-frozen form of a whole die family.
@@ -265,9 +288,13 @@ class CompiledFleet:
     ring_a: np.ndarray
     static_matrix: np.ndarray
     backend_name: str = "numpy"
-    # (launch, n_samples) -> time-domain / spectral response kernels,
-    # built lazily; mutating the cache dicts is compatible with frozen.
+    # (launch, n_samples) -> time-domain kernel (h_real, h_imag), and
+    # separately its (spectra, fft_length), each built lazily; mutating
+    # the cache dicts is compatible with frozen.
     _kernel_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _spectra_cache: dict = field(
+        default_factory=dict, repr=False, compare=False
+    )
     # Lazily-resolved backend instance + degraded_reason (a dict so the
     # frozen dataclass can fill it in at first use).
     _backend_state: dict = field(
@@ -450,20 +477,19 @@ class CompiledFleet:
 
     # -- response kernels --------------------------------------------------
 
-    def response_kernel(self, launch: int, n_samples: int) -> tuple:
-        """Per-die response kernels for single-channel launches.
+    def impulse_response(self, launch: int, n_samples: int) -> tuple:
+        """Per-die time-domain kernels for single-channel launches.
 
-        Returns ``(h, spectra, fft_length)`` where ``h`` is the
-        ``(fleet, n_channels, n_samples)`` time-domain impulse response of
-        each die to a unit sample on channel ``launch``, and ``spectra``
-        its ``(fleet, n_channels, fft_length)`` DFT.  Output sample ``t``
-        of a length-``n_samples`` interrogation depends only on taps
-        ``0..t`` of ``h``, so convolving against these truncated kernels
-        is *exact* for every sample the interrogation observes.
+        Returns ``(h_real, h_imag)``: the real and imaginary parts of the
+        ``(fleet, n_channels, n_samples)`` impulse response of each die to
+        a unit sample on channel ``launch``.  Output sample ``t`` of a
+        length-``n_samples`` interrogation depends only on taps ``0..t``
+        of ``h``, so convolving against these truncated kernels is
+        *exact* for every sample the interrogation observes.
 
         Built lazily with one stacked :meth:`propagate` pass and cached
-        per ``(launch, n_samples)``; this cache is the memory price of a
-        stacked fleet (see ``memory_footprint_bytes``).
+        per ``(launch, n_samples)``; this is all the bit-slot readout
+        (:meth:`response_power_at`) ever builds.
         """
         key = (int(launch), int(n_samples))
         cached = self._kernel_cache.get(key)
@@ -474,36 +500,62 @@ class CompiledFleet:
             )
             impulse[:, 0, launch, 0] = 1.0
             h = self.propagate(impulse)[:, 0]
-            length = _fft_length(n_samples)
-            spectra = np.fft.fft(h, n=length, axis=-1)
-            cached = (
-                np.ascontiguousarray(h.real),
-                np.ascontiguousarray(h.imag),
-                spectra,
-                length,
-            )
+            cached = (np.ascontiguousarray(h.real),
+                      np.ascontiguousarray(h.imag))
             self._kernel_cache[key] = cached
         return cached
 
+    def response_kernel(self, launch: int, n_samples: int) -> tuple:
+        """Time-domain kernels plus their spectra, for full output streams.
+
+        Returns ``(h_real, h_imag, spectra, fft_length)``: the
+        :meth:`impulse_response` parts and the ``(fleet, n_channels,
+        fft_length)`` DFT of ``h`` that :meth:`modulated_response`
+        convolves against.  The spectra are built from the cached taps on
+        the first call and cached per ``(launch, n_samples)``; at
+        ``fft_length ~ 2 * n_samples`` complex values they are the
+        largest part of a stacked fleet's memory price (see
+        ``memory_footprint_bytes``), so only full energy maps pay it.
+        """
+        h_real, h_imag = self.impulse_response(launch, n_samples)
+        key = (int(launch), int(n_samples))
+        cached = self._spectra_cache.get(key)
+        if cached is None:
+            h = np.empty(h_real.shape, dtype=np.complex128)
+            h.real = h_real
+            h.imag = h_imag
+            length = _fft_length(n_samples)
+            cached = (np.fft.fft(h, n=length, axis=-1), length)
+            self._spectra_cache[key] = cached
+        return (h_real, h_imag, *cached)
+
     def adopt_kernel(self, launch: int, n_samples: int, h_real: np.ndarray,
-                     h_imag: np.ndarray, spectra: np.ndarray,
-                     fft_length: int) -> None:
-        """Install a pre-built response kernel (shared-memory adoption).
+                     h_imag: np.ndarray) -> None:
+        """Install a pre-built time-domain kernel (shared-memory adoption).
 
         The sharded execution layer (:mod:`repro.photonics.shard`)
         computes each kernel once in the parent and hands every worker a
         zero-copy view of its shard's rows; adopting it here means the
         worker never rebuilds fleet-wide kernels.  The arrays must be
-        laid out exactly as :meth:`response_kernel` caches them.
+        laid out exactly as :meth:`impulse_response` returns them.
         """
-        key = (int(launch), int(n_samples))
-        self._kernel_cache[key] = (h_real, h_imag, spectra, int(fft_length))
+        self._kernel_cache[(int(launch), int(n_samples))] = (h_real, h_imag)
+
+    def adopt_spectra(self, launch: int, n_samples: int,
+                      spectra: np.ndarray, fft_length: int) -> None:
+        """Install pre-built kernel spectra, as :meth:`adopt_kernel` does
+        for the taps (``spectra`` laid out as :meth:`response_kernel`
+        returns it)."""
+        self._spectra_cache[(int(launch), int(n_samples))] = (
+            spectra, int(fft_length)
+        )
 
     def shard_view(self, start: int, stop: int) -> "CompiledFleet":
         """A zero-copy :class:`CompiledFleet` over dies ``start:stop``.
 
-        Operator tensors are sliced views (no copy); the kernel cache
-        starts empty — use :meth:`adopt_kernel` to share kernels too.
+        Operator tensors are sliced views (no copy); the kernel caches
+        start empty — use :meth:`adopt_kernel` / :meth:`adopt_spectra` to
+        share kernels too.
         """
         if not 0 <= start < stop <= self.n_dies:
             raise ValueError(
@@ -569,57 +621,67 @@ class CompiledFleet:
         slots, so the hot paths never need the full output stream.  For
         real drive waveforms this evaluates
         ``|sum_k h[k] w[t - k]|^2`` at the requested sample positions
-        ``t`` as two fleet-batched real GEMMs (real and imaginary kernel
+        ``t`` (1-D integers in ``[0, n_samples)``, else ``ValueError``)
+        as two fleet-batched real GEMMs (real and imaginary kernel
         parts) — returns ``(fleet_sel, batch, n_channels, len(samples))``
         float64 power, tiled over ``fleet x batch``.
         """
         waves = np.asarray(waves, dtype=np.float64)
-        samples = np.asarray(samples, dtype=np.intp)
         indices = self._die_indices(dies)
         n_sel, batch, n_samples = waves.shape
+        samples = _check_samples(samples, n_samples)
         if n_sel != indices.size:
             raise ValueError(
                 f"waves stack {n_sel} dies, selection names {indices.size}"
             )
-        h_real, h_imag, __, __ = self.response_kernel(launch, n_samples)
-        h_real = h_real[indices]
-        h_imag = h_imag[indices]
+        h_real, h_imag = self.impulse_response(launch, n_samples)
         backend = self.compute_backend()
         n_sel_samples = samples.size
-        # Left-pad the waveforms so every lag index is in range, then one
-        # advanced-index gather builds each die's lag matrix directly in
-        # GEMM layout: column (b, j) of a die's ``(S, batch*T)`` matrix is
-        # drive waveform b reversed around selected sample t_j.
-        lag_index = (samples[np.newaxis, :] + (n_samples - 1)
-                     - np.arange(n_samples)[:, np.newaxis])       # (S, T)
-        batch_index = np.repeat(np.arange(batch), n_sel_samples)  # (batch*T,)
-        sample_index = np.tile(lag_index, (1, batch))             # (S, batch*T)
         out = np.empty(
             (n_sel, batch, self.n_channels, n_sel_samples), dtype=np.float64
         )
+        # A tile's lag operand is written, then read straight back by the
+        # GEMM: a quarter of the cache budget keeps it in a core's L2.
         per_die = batch * n_samples * n_sel_samples * 8
-        die_tile = max(1, (4 * _TILE_TARGET_BYTES) // max(1, per_die))
+        die_tile = max(1, (_TILE_TARGET_BYTES // 4) // max(1, per_die))
+        # Column (b, j) of a die's (S, batch*T) lag matrix is drive b
+        # reversed around sample t_j (zero before the stream starts): the
+        # length-S window of the reversed, zero-padded drive that starts
+        # at S - 1 - t_j.  One gather of those window starts from the
+        # strided window view is copied straight into the C-contiguous
+        # layout the GEMM reads.  One tile-sized drive buffer serves every
+        # tile; its zero half is never written.
+        reversed_drive = np.zeros(
+            (min(die_tile, n_sel), batch, 2 * n_samples - 1)
+        )
+        windows = sliding_window_view(reversed_drive, n_samples, axis=-1)
+        starts = (n_samples - 1) - samples
         for f0 in range(0, n_sel, die_tile):
             f1 = min(f0 + die_tile, n_sel)
-            padded = np.concatenate(
-                [np.zeros((f1 - f0, batch, n_samples - 1)), waves[f0:f1]],
-                axis=-1,
+            tile = f1 - f0
+            reversed_drive[:tile, :, :n_samples] = waves[f0:f1, :, ::-1]
+            lag = np.empty((tile, n_samples, batch, n_sel_samples))
+            lag[:] = windows[:tile][:, :, starts].transpose(0, 3, 1, 2)
+            rows = indices[f0:f1]
+            power = backend.kernel_gemm(
+                h_real[rows], h_imag[rows],
+                lag.reshape(tile, n_samples, batch * n_sel_samples),
             )
-            lag = padded[:, batch_index, sample_index]
-            power = backend.kernel_gemm(h_real[f0:f1], h_imag[f0:f1], lag)
             out[f0:f1] = power.reshape(
-                f1 - f0, self.n_channels, batch, n_sel_samples
+                tile, self.n_channels, batch, n_sel_samples
             ).transpose(0, 2, 1, 3)
         return out
 
     # -- accounting --------------------------------------------------------
 
     def memory_footprint_bytes(self) -> int:
-        """Frozen operators plus cached response kernels."""
+        """Frozen operators plus whatever response kernels were built."""
         total = (self.stage_matrices.nbytes + self.ring_b.nbytes
                  + self.ring_a.nbytes + self.static_matrix.nbytes)
-        for entry in self._kernel_cache.values():
-            total += sum(array.nbytes for array in entry[:3])
+        for h_real, h_imag in self._kernel_cache.values():
+            total += h_real.nbytes + h_imag.nbytes
+        for spectra, __ in self._spectra_cache.values():
+            total += spectra.nbytes
         return total
 
     def per_die_bytes(self) -> int:

@@ -9,9 +9,10 @@ This module partitions the fleet plane into per-core *shards*:
   shards (ragged sizes allowed — 1024 dies over 3 workers is 342/341/341);
 * the fleet's frozen operators (stage matrices, ring coefficient banks,
   static matrix) and its response kernels are copied **once** into
-  :mod:`multiprocessing.shared_memory` blocks; a persistent pool of
-  worker processes maps them at startup and never receives an operator
-  byte over a pipe again;
+  :mod:`multiprocessing.shared_memory` blocks — the kernels' FFT spectra
+  only once a full output stream is first asked for; a persistent pool
+  of worker processes maps them and never receives an operator byte
+  over a pipe again;
 * :class:`ShardedFleetExecutor` serves the three ``CompiledFleet`` hot
   calls — :meth:`propagate`, :meth:`modulated_response`,
   :meth:`response_power_at` — by writing the round's drive tensor into a
@@ -44,7 +45,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.photonics.fleet_engine import CompiledFleet
+from repro.photonics.fleet_engine import CompiledFleet, _check_samples
 
 try:  # pragma: no cover - platform probe
     import multiprocessing
@@ -264,17 +265,15 @@ class _WorkerState:
             self._attached.pop(stale_name).close()
         return arrays
 
-    def adopt_kernel(self, cmd: dict) -> None:
-        h_real = self._pin(*cmd["h_real"])
-        h_imag = self._pin(*cmd["h_imag"])
-        spectra = self._pin(*cmd["spectra"])
-        self.fleet.adopt_kernel(
-            cmd["launch"], cmd["n_samples"],
-            h_real[self.start:self.stop],
-            h_imag[self.start:self.stop],
-            spectra[self.start:self.stop],
-            cmd["fft_length"],
-        )
+    def adopt(self, cmd: dict) -> None:
+        """Adopt this shard's rows of a kernel part the parent shared."""
+        rows = [self._pin(*spec)[self.start:self.stop]
+                for spec in cmd["arrays"]]
+        if cmd["op"] == "kernel":
+            self.fleet.adopt_kernel(cmd["launch"], cmd["n_samples"], *rows)
+        else:
+            self.fleet.adopt_spectra(cmd["launch"], cmd["n_samples"], *rows,
+                                     cmd["fft_length"])
 
 
 def _shard_worker_main(conn, spec: dict) -> None:
@@ -298,9 +297,9 @@ def _shard_worker_main(conn, spec: dict) -> None:
             conn.send(("ok", "stop"))
             break
         try:
-            if op == "kernel":
-                state.adopt_kernel(cmd)
-                conn.send(("ok", "kernel"))
+            if op in ("kernel", "spectra"):
+                state.adopt(cmd)
+                conn.send(("ok", op))
                 continue
             source, out = state.views([cmd["in"], cmd["out"]])
             positions = np.asarray(cmd["positions"], dtype=np.intp)
@@ -442,7 +441,7 @@ class ShardedFleetExecutor:
         self._workers: List = []
         self._conns: List = []
         self._blocks: List[_SharedArray] = []
-        self._kernel_keys: set = set()
+        self._shared_kernels: set = set()    # ("kernel"|"spectra", key)
         self._scratch_in = _Scratch()
         self._scratch_out = _Scratch()
         self._current: Optional[ShardSubmission] = None
@@ -580,33 +579,31 @@ class ShardedFleetExecutor:
 
     # -- kernels -----------------------------------------------------------
 
-    def _ensure_kernel(self, launch: int, n_samples: int) -> None:
-        """Build + broadcast one response kernel into shared memory.
+    def _ensure_shared(self, part: str, launch: int, n_samples: int) -> None:
+        """Build + broadcast one response-kernel part into shared memory.
 
-        The parent computes the kernel once (exactly as the
+        ``part`` is ``"kernel"`` (the time-domain taps every bit-slot
+        readout needs) or ``"spectra"`` (their FFT, needed only by full
+        output streams).  The parent computes it once (exactly as the
         single-process path would), copies it into shared blocks, and
         every worker adopts its shard's row slice — workers never burn
         cycles rebuilding fleet-wide kernels.
         """
-        key = (int(launch), int(n_samples))
-        if key in self._kernel_keys or not self.active:
+        key = (part, int(launch), int(n_samples))
+        if key in self._shared_kernels or not self.active:
             return
         self._settle()
-        h_real, h_imag, spectra, length = self.fleet.response_kernel(
-            launch, n_samples
-        )
-        blocks = [_SharedArray(h_real), _SharedArray(h_imag),
-                  _SharedArray(spectra)]
+        cmd = {"op": part, "launch": int(launch), "n_samples": int(n_samples)}
+        if part == "kernel":
+            arrays = self.fleet.impulse_response(launch, n_samples)
+        else:
+            __, __, spectra, cmd["fft_length"] = self.fleet.response_kernel(
+                launch, n_samples
+            )
+            arrays = (spectra,)
+        blocks = [_SharedArray(array) for array in arrays]
         self._blocks.extend(blocks)
-        cmd = {
-            "op": "kernel",
-            "launch": int(launch),
-            "n_samples": int(n_samples),
-            "fft_length": int(length),
-            "h_real": blocks[0].spec(),
-            "h_imag": blocks[1].spec(),
-            "spectra": blocks[2].spec(),
-        }
+        cmd["arrays"] = [block.spec() for block in blocks]
         for shard in range(self.n_workers):
             if not self._send(shard, cmd):
                 self._retire(f"worker {shard} unavailable")
@@ -618,9 +615,10 @@ class ShardedFleetExecutor:
                 return
             if reply[0] != "ok":
                 raise RuntimeError(
-                    f"shard worker {shard} failed to adopt kernel:\n{reply[1]}"
+                    f"shard worker {shard} failed to adopt {part}:\n"
+                    f"{reply[1]}"
                 )
-        self._kernel_keys.add(key)
+        self._shared_kernels.add(key)
 
     # -- submission core ---------------------------------------------------
 
@@ -667,10 +665,10 @@ class ShardedFleetExecutor:
                               launch: int, dies=None) -> "ShardSubmission":
         """Asynchronous :meth:`CompiledFleet.response_power_at`."""
         waves = np.asarray(waves, dtype=np.float64)
-        samples = np.asarray(samples, dtype=np.intp)
         indices = self._die_indices(dies)
         n_sel, batch, n_samples = waves.shape
-        self._ensure_kernel(launch, n_samples)
+        samples = _check_samples(samples, n_samples)
+        self._ensure_shared("kernel", launch, n_samples)
         out_shape = (n_sel, batch, self.fleet.n_channels, samples.size)
         return self._submit(
             "power", waves, out_shape, np.float64, indices,
@@ -691,7 +689,8 @@ class ShardedFleetExecutor:
         waves = np.asarray(waves)
         indices = self._die_indices(dies)
         n_sel, batch, n_samples = waves.shape
-        self._ensure_kernel(launch, n_samples)
+        self._ensure_shared("kernel", launch, n_samples)
+        self._ensure_shared("spectra", launch, n_samples)
         out_shape = (n_sel, batch, self.fleet.n_channels, n_samples)
         return self._submit(
             "modulated", waves, out_shape, np.complex128, indices,

@@ -364,6 +364,9 @@ class PhotonicFleet:
                 )
         self.pufs = pufs
         self._fleet_cache: Dict[Tuple, CompiledFleet] = {}
+        # One environment for the whole fleet -> its cached plane, so a
+        # round does not rebuild the per-die key of every stacked die.
+        self._single_env_fleets: Dict[PUFEnvironment, CompiledFleet] = {}
 
     def __len__(self) -> int:
         return len(self.pufs)
@@ -388,9 +391,22 @@ class PhotonicFleet:
         """The stacked engine for ``env`` (one or per-die), cached.
 
         Like the per-die cache, the key ignores detection noise: receiver
-        noise is added after propagation.
+        noise is added after propagation.  The cache is keyed per die, so
+        a single environment and a per-die list of equal operating points
+        share one compilation; single environments are also memoised by
+        the environment itself, which keeps the per-die key off the round
+        path.
         """
-        env_list = self._env_list(env)
+        if isinstance(env, PUFEnvironment):
+            fleet = self._single_env_fleets.get(env)
+            if fleet is None:
+                fleet = self._compile_for(self._env_list(env))
+                self._single_env_fleets[env] = fleet
+            return fleet
+        return self._compile_for(self._env_list(env))
+
+    def _compile_for(self, env_list: List[PUFEnvironment]) -> CompiledFleet:
+        """The cached plane for per-die environments, compiling on a miss."""
         wavelength = self.base.laser.wavelength
         opticals = [puf._optical_env(e)
                     for puf, e in zip(self.pufs, env_list)]
@@ -547,7 +563,7 @@ class PhotonicFleet:
             )
         env_list = self._env_list(env)
         measurements = self._measurement_list(measurements, rows)
-        fleet = self.compiled_fleet(env_list)
+        fleet = self.compiled_fleet(env)
         waves = self._drive_waves(challenges)
         out = self._plane_for(fleet).modulated_response(
             waves, base.launch_channel, dies=rows
@@ -626,7 +642,7 @@ class PhotonicFleet:
             )
         env_list = self._env_list(env)
         measurements = self._measurement_list(measurements, rows)
-        fleet = self.compiled_fleet(env_list)
+        fleet = self.compiled_fleet(env)
         waves = self._drive_waves(challenges)
         spb = base.modulator.samples_per_bit
         slots = np.unique(base._assignment_slots)

@@ -160,6 +160,57 @@ class TestShardedBitwiseEquivalence:
         assert executor.memory_footprint_bytes() > 0
 
 
+class TestShardedKernelSharing:
+    """The pool shares time-domain taps per round, spectra on demand."""
+
+    @pytest.fixture
+    def fresh(self):
+        family = photonic_strong_family(N_DIES, seed=11, **CONFIG)
+        return family.stack().compiled_fleet()
+
+    def test_readout_shares_no_spectra(self, fresh, tensors):
+        waves, __, samples = tensors
+        operators = sum(getattr(fresh, key).nbytes for key in (
+            "stage_matrices", "ring_b", "ring_a", "static_matrix"))
+        with ShardedFleetExecutor(fresh, n_workers=2) as executor:
+            executor.response_power_at(waves, samples, 4)
+            h_real, h_imag = fresh.impulse_response(4, waves.shape[-1])
+            assert executor.memory_footprint_bytes() == (
+                operators + h_real.nbytes + h_imag.nbytes
+            )
+            assert fresh._spectra_cache == {}
+
+    def test_spectra_shared_on_demand_bitwise(self, fleet, fresh, tensors):
+        waves, __, samples = tensors
+        fleet.response_kernel(4, waves.shape[-1])        # eager spectra
+        reference = fleet.modulated_response(waves, launch=4)
+        with ShardedFleetExecutor(fresh, n_workers=2) as executor:
+            assert np.array_equal(
+                executor.response_power_at(waves, samples, 4),
+                fleet.response_power_at(waves, samples, launch=4),
+            )
+            assert np.array_equal(
+                executor.modulated_response(waves, launch=4), reference
+            )
+            assert executor.active
+
+
+class TestShardedSampleValidation:
+    @pytest.mark.parametrize("samples", [[-5, 3], [80]],
+                             ids=["negative", "end"])
+    def test_rejected_before_dispatch(self, fleet, tensors, samples):
+        waves, __, good = tensors
+        with ShardedFleetExecutor(fleet, n_workers=2) as executor:
+            with pytest.raises(ValueError, match="samples"):
+                executor.submit_response_power(waves, samples, 4)
+            # Nothing reached the workers: the pool still serves rounds.
+            assert np.array_equal(
+                executor.response_power_at(waves, good, 4),
+                fleet.response_power_at(waves, good, launch=4),
+            )
+            assert executor.active
+
+
 class TestShardCountOne:
     def test_single_worker_bitwise(self, fleet, tensors):
         waves, __, samples = tensors
