@@ -8,9 +8,11 @@ the whole family into ``(fleet, ...)`` tensors at provision time:
 
 * **one compile for the family** — the design draws (mixing angles,
   coupling ratios, ring phases/couplings) depend only on the shared
-  design seed and are derived once, while the per-die variation draws are
-  gathered into ``(fleet,)`` arrays and the stage matrices assembled with
-  fleet-batched 2x2 block updates instead of one Python pass per die;
+  design seed and are derived once, while every die's variation draws
+  come from one gathered, bit-exact pass per kind over the whole fleet
+  (:func:`~repro.utils.rng.gather_standard_normals`) and the stage
+  matrices are assembled with fleet-batched 2x2 block updates instead of
+  one Python pass per die;
 * **one tensor pass per round** — :meth:`propagate` advances
   ``(fleet, batch, n_channels, n_samples)`` field tensors with one
   batched ``matmul`` per mixing stage and one
@@ -49,7 +51,11 @@ from repro.photonics.engine import (
     _TILE_TARGET_BYTES,
     CompiledMesh,
 )
-from repro.photonics.variation import OpticalEnvironment
+from repro.photonics.variation import (
+    OpticalEnvironment,
+    stacked_coupling_factors,
+    stacked_neff_offsets,
+)
 from repro.utils.rng import derive_rng
 
 _NOMINAL_ENV = OpticalEnvironment()
@@ -88,10 +94,11 @@ class _VariationTable:
 
     The draws are identical to what :meth:`MixingLayer.matrix` and
     :meth:`PassiveScrambler._ring` pull one component at a time (same
-    derived streams, via the batched
-    :meth:`~repro.photonics.variation.DieVariation.neff_offsets` /
-    :meth:`coupling_factors` fast path); here each die makes exactly two
-    gathered calls and the compile indexes columns.
+    derived streams); here the whole fleet makes one gathered call per
+    kind (:func:`~repro.photonics.variation.stacked_neff_offsets`,
+    :func:`~repro.photonics.variation.stacked_coupling_factors`) and the
+    compile indexes columns.  Dies without variation keep the nominal
+    zero offset and unit coupling.
     """
 
     def __init__(self, scramblers):
@@ -119,16 +126,14 @@ class _VariationTable:
             for channel in range(base.n_channels):
                 self._ring_col[(stage, channel)] = len(self.neff_labels)
                 self.neff_labels.append(f"scr.ring.{stage}.{channel}")
-        self.offsets = np.stack([
-            scrambler.variation.neff_offsets(self.neff_labels)
-            if scrambler.variation else np.zeros(len(self.neff_labels))
-            for scrambler in scramblers
-        ])
-        self.couplings = np.stack([
-            scrambler.variation.coupling_factors(self.coupling_labels)
-            if scrambler.variation else np.ones(len(self.coupling_labels))
-            for scrambler in scramblers
-        ])
+        varied = [k for k, scrambler in enumerate(scramblers)
+                  if scrambler.variation]
+        dies = [scramblers[k].variation for k in varied]
+        self.offsets = np.zeros((len(scramblers), len(self.neff_labels)))
+        self.offsets[varied] = stacked_neff_offsets(dies, self.neff_labels)
+        self.couplings = np.ones((len(scramblers), len(self.coupling_labels)))
+        self.couplings[varied] = stacked_coupling_factors(
+            dies, self.coupling_labels)
 
     def ps_offset(self, layer_index: int, i: int) -> np.ndarray:
         return self.offsets[:, self._ps_col[(layer_index, i)]]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.photonics.constants import REFERENCE_TEMPERATURE_C
-from repro.utils.rng import derive_rng, derive_standard_normals
+from repro.utils.rng import derive_rng, gather_standard_normals
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,6 @@ class VariationModel:
             die_index=die_index,
         )
 
-    def sample_dies(self, root_seed: int, die_indices) -> list:
-        """Draw a whole wafer's worth of dies in one call.
-
-        The batched entry point of the fleet-stacked compilation path:
-        each die's state is identical to :meth:`sample_die` (same derived
-        streams), just gathered for stacking.
-        """
-        return [self.sample_die(root_seed, int(die)) for die in die_indices]
-
 
 @dataclass(frozen=True)
 class DieVariation:
@@ -81,26 +72,6 @@ class DieVariation:
         rng = derive_rng(self.rng_seed, "die", self.die_index, "neff", component_label)
         return self.neff_global + float(rng.normal(0.0, self.model.sigma_neff_local))
 
-    def neff_offsets(self, component_labels) -> "np.ndarray":
-        """Gathered :meth:`neff_offset` over many components.
-
-        The stacked-compile fast path: identical values (same derived
-        streams, via :func:`repro.utils.rng.derive_standard_normals`)
-        with the per-component generator setup amortised over the batch.
-        """
-        draws = derive_standard_normals(
-            self.rng_seed, ("die", self.die_index, "neff"), component_labels
-        )
-        return self.neff_global + self.model.sigma_neff_local * draws
-
-    def coupling_factors(self, component_labels) -> "np.ndarray":
-        """Gathered :meth:`coupling_factor` over many components."""
-        draws = derive_standard_normals(
-            self.rng_seed, ("die", self.die_index, "coupling"),
-            component_labels,
-        )
-        return np.maximum(1e-3, 1.0 + self.model.sigma_coupling * draws)
-
     def coupling_factor(self, component_label: str) -> float:
         """Multiplicative deviation of a power-coupling coefficient (clipped > 0)."""
         rng = derive_rng(self.rng_seed, "die", self.die_index, "coupling", component_label)
@@ -110,6 +81,39 @@ class DieVariation:
         """Multiplicative deviation of a propagation-loss coefficient (clipped > 0)."""
         rng = derive_rng(self.rng_seed, "die", self.die_index, "loss", component_label)
         return max(1e-3, 1.0 + float(rng.normal(0.0, self.model.sigma_loss)))
+
+
+def _gathered_draws(dies, kind: str, component_labels) -> "np.ndarray":
+    """Every die's ``kind`` draw of every component, in one gathered pass."""
+    return gather_standard_normals(
+        [(die.rng_seed, ("die", die.die_index, kind)) for die in dies],
+        component_labels,
+    )
+
+
+def _per_die(values) -> "np.ndarray":
+    return np.array(values, dtype=np.float64).reshape(-1, 1)
+
+
+def stacked_neff_offsets(dies, component_labels) -> "np.ndarray":
+    """:meth:`DieVariation.neff_offset` of every die and component.
+
+    ``(len(dies), len(component_labels))``, bit for bit the scalar
+    values, with the whole fleet's draws made in one gathered call
+    (:func:`repro.utils.rng.gather_standard_normals`).  Each die keeps
+    its own root seed, :class:`VariationModel` and ``neff_global``.
+    """
+    draws = _gathered_draws(dies, "neff", component_labels)
+    neff_global = _per_die([die.neff_global for die in dies])
+    sigma = _per_die([die.model.sigma_neff_local for die in dies])
+    return neff_global + sigma * draws
+
+
+def stacked_coupling_factors(dies, component_labels) -> "np.ndarray":
+    """:meth:`DieVariation.coupling_factor` of every die and component."""
+    draws = _gathered_draws(dies, "coupling", component_labels)
+    sigma = _per_die([die.model.sigma_coupling for die in dies])
+    return np.maximum(1e-3, 1.0 + sigma * draws)
 
 
 @dataclass(frozen=True)
