@@ -4,27 +4,39 @@ The ``RNG`` function of the protocols: mutual authentication derives the
 next challenge as ``c_{i+1} = RNG(r_i)`` (Fig. 4), and attestation derives
 the memory walk as ``m_1..m_n = RNG(r_1 + t)`` (Sec. III-B).  Both sides
 must reproduce the stream exactly, hence a standardised DRBG.
+
+Each internal key K is used for a few HMACs and then replaced, so the
+generator keeps K's padded SHA-256 states itself
+(:func:`repro.crypto.mac.hmac_key_states`, computed once per key)
+instead of going through the MAC module's per-key LRU: a round's worth
+of ``c_{i+1}`` derivations would otherwise push hundreds of dead DRBG
+keys through that cache and evict the live session keys.
 """
 
 from __future__ import annotations
 
-from repro.crypto.mac import hmac_sha256
+from repro.crypto.mac import hmac_key_states, hmac_with_states
+
+# Every instantiation starts from K = 0x00..00 (SP 800-90A, 10.1.2.3).
+_INITIAL_STATES = hmac_key_states(b"\x00" * 32)
 
 
 class HmacDrbg:
     """HMAC-SHA256 DRBG, instantiated from a seed byte string."""
 
     def __init__(self, seed: bytes, personalization: bytes = b""):
-        self._key = b"\x00" * 32
+        self._states = _INITIAL_STATES  # the HMAC states of key K
         self._value = b"\x01" * 32
         self._update(seed + personalization)
 
     def _update(self, provided: bytes = b"") -> None:
-        self._key = hmac_sha256(self._key, self._value + b"\x00" + provided)
-        self._value = hmac_sha256(self._key, self._value)
+        self._states = hmac_key_states(hmac_with_states(
+            self._states, self._value + b"\x00" + provided))
+        self._value = hmac_with_states(self._states, self._value)
         if provided:
-            self._key = hmac_sha256(self._key, self._value + b"\x01" + provided)
-            self._value = hmac_sha256(self._key, self._value)
+            self._states = hmac_key_states(hmac_with_states(
+                self._states, self._value + b"\x01" + provided))
+            self._value = hmac_with_states(self._states, self._value)
 
     def generate(self, n_bytes: int) -> bytes:
         """Next ``n_bytes`` of the stream."""
@@ -32,7 +44,7 @@ class HmacDrbg:
             raise ValueError("n_bytes must be non-negative")
         output = b""
         while len(output) < n_bytes:
-            self._value = hmac_sha256(self._key, self._value)
+            self._value = hmac_with_states(self._states, self._value)
             output += self._value
         self._update()
         return output[:n_bytes]

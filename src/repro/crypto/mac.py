@@ -33,30 +33,45 @@ _STATE_CACHE_MAX = 4096
 _state_cache: "OrderedDict[bytes, tuple]" = OrderedDict()
 
 
-def _digest_states(key: bytes) -> tuple:
-    """SHA-256 states preloaded with ``key XOR ipad`` / ``key XOR opad``."""
-    cached = _state_cache.get(key)
-    if cached is not None:
-        _state_cache.move_to_end(key)
-        return cached
+def hmac_key_states(key: bytes) -> tuple:
+    """SHA-256 states preloaded with ``key XOR ipad`` / ``key XOR opad``.
+
+    Uncached: for keys used a few times and never again, such as the
+    HMAC-DRBG's chained internal keys, which would only evict live
+    session keys from :func:`_digest_states`' LRU.
+    """
     block = hashlib.sha256(key).digest() if len(key) > _BLOCK_SIZE else key
     key_int = int.from_bytes(block.ljust(_BLOCK_SIZE, b"\x00"), "big")
     inner = hashlib.sha256((key_int ^ _IPAD_INT).to_bytes(_BLOCK_SIZE, "big"))
     outer = hashlib.sha256((key_int ^ _OPAD_INT).to_bytes(_BLOCK_SIZE, "big"))
-    _state_cache[key] = (inner, outer)
-    if len(_state_cache) > _STATE_CACHE_MAX:
-        _state_cache.popitem(last=False)
     return inner, outer
 
 
-def hmac_sha256(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA256 per RFC 2104."""
-    inner, outer = _digest_states(bytes(key))
+def hmac_with_states(states: tuple, message: bytes) -> bytes:
+    """HMAC-SHA256 of ``message`` under the key that ``states`` hold."""
+    inner, outer = states
     inner = inner.copy()
     inner.update(message)
     outer = outer.copy()
     outer.update(inner.digest())
     return outer.digest()
+
+
+def _digest_states(key: bytes) -> tuple:
+    """:func:`hmac_key_states`, LRU-cached per key."""
+    cached = _state_cache.get(key)
+    if cached is not None:
+        _state_cache.move_to_end(key)
+        return cached
+    states = _state_cache[key] = hmac_key_states(key)
+    if len(_state_cache) > _STATE_CACHE_MAX:
+        _state_cache.popitem(last=False)
+    return states
+
+
+def hmac_sha256(key: bytes, message: bytes) -> bytes:
+    """HMAC-SHA256 per RFC 2104."""
+    return hmac_with_states(_digest_states(bytes(key)), message)
 
 
 def mac(data: bytes, key: bytes) -> bytes:
@@ -89,15 +104,8 @@ def mac_batch(messages, keys) -> list:
         raise ValueError(
             f"got {len(messages)} messages for {len(keys)} keys"
         )
-    tags = []
-    for data, key in zip(messages, keys):
-        inner, outer = _digest_states(bytes(key))
-        inner = inner.copy()
-        inner.update(data)
-        outer = outer.copy()
-        outer.update(inner.digest())
-        tags.append(outer.digest())
-    return tags
+    return [hmac_with_states(_digest_states(bytes(key)), data)
+            for data, key in zip(messages, keys)]
 
 
 def verify_mac_batch(messages, keys, tags) -> list:

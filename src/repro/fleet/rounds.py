@@ -41,7 +41,13 @@ def respond_round_staged(
     :meth:`~repro.fleet.verifier.FleetDevice.respond` and are yielded as
     the first chunk.  Concatenating all chunks by position reproduces
     the flat :func:`respond_round` output exactly.
+
+    Each plane chunk is framed by one
+    :func:`~repro.fleet.verifier.assemble_responses` call: two packing
+    passes and one batched MAC for all of its devices.
     """
+    from repro.fleet.verifier import assemble_responses  # imports us
+
     tamper_factors = tamper_factors or {}
     fallback: List[int] = []
     groups: Dict[int, List[int]] = {}
@@ -84,18 +90,15 @@ def respond_round_staged(
         ]
     for positions, challenges, staged in dispatched:
         for chunk, fresh in staged:
-            chunk_positions: List[int] = []
-            messages: List = []
-            for index, local in enumerate(np.asarray(chunk, dtype=np.intp)):
-                position = positions[local]
-                device = devices[position]
-                chunk_positions.append(position)
-                messages.append(device.assemble_response(
-                    challenges[local], fresh[index, 0, :],
-                    nonces[device.device_id],
-                    tamper_factors.get(device.device_id, 1.0),
-                ))
-            yield chunk_positions, messages
+            local = np.asarray(chunk, dtype=np.intp)
+            chunk_positions = [positions[index] for index in local]
+            members = [devices[position] for position in chunk_positions]
+            yield chunk_positions, assemble_responses(
+                members, challenges[local], fresh[:, 0, :],
+                [nonces[device.device_id] for device in members],
+                [tamper_factors.get(device.device_id, 1.0)
+                 for device in members],
+            )
 
 
 def respond_round(
@@ -108,8 +111,8 @@ def respond_round(
     Devices attached to a stacked execution plane are grouped: their next
     challenges are gathered first (:func:`derive_challenge_batch`), all
     fresh responses come back from the plane's tensor pass — sharded
-    across worker cores when an executor is attached — and only the
-    per-device message framing remains sequential.  Message order
+    across worker cores when an executor is attached — and each chunk's
+    messages are framed and MAC'd in one batched pass.  Message order
     matches ``devices``.  (This is the flat view of
     :func:`respond_round_staged`.)
     """

@@ -30,8 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.crypto.mac import mac as compute_mac
-from repro.crypto.mac import verify_mac, verify_mac_batch
+from repro.crypto.mac import mac_batch, verify_mac, verify_mac_batch
 from repro.fleet.registry import FleetRegistry
 from repro.fleet.rounds import respond_round_staged
 from repro.protocols.mutual_auth import (
@@ -46,7 +45,7 @@ from repro.protocols.mutual_auth import (
     pad_bits_batch,
     unmask_clock_count,
 )
-from repro.utils.bits import bits_from_bytes, xor_bits
+from repro.utils.bits import bits_from_bytes
 from repro.utils.rng import derive_bytes, derive_rng
 from repro.utils.serialization import (
     decode_fields,
@@ -135,19 +134,8 @@ class FleetDevice:
                           new_response: np.ndarray, nonce: bytes,
                           tamper_factor: float = 1.0) -> "AuthResponse":
         """Frame + MAC one turn from an already-measured fresh response."""
-        new_response = np.asarray(new_response, dtype=np.uint8)
-        masked = xor_bits(self.current_response, new_response)
-        integrity = mask_integrity(self.firmware_hash,
-                                   int(self.clock_count * tamper_factor))
-        body = encode_fields([
-            self._session.to_bytes(4, "big"),
-            _pad_bits(masked),
-            integrity,
-            nonce,
-        ])
-        tag = compute_mac(body, _pad_bits(self.current_response))
-        self._pending = (challenge, new_response)
-        return AuthResponse(self.device_id, body, tag)
+        return assemble_responses([self], [challenge], [new_response],
+                                  [nonce], [tamper_factor])[0]
 
     def respond(self, nonce: bytes, tamper_factor: float = 1.0) -> "AuthResponse":
         """One Fig. 4 device turn: fresh CRP measurement, masked + MAC'd.
@@ -228,6 +216,53 @@ class AuthResponse:
     device_id: str
     body: bytes
     tag: bytes
+
+
+def assemble_responses(devices: Sequence[FleetDevice], challenges, fresh,
+                       nonces: Sequence[bytes],
+                       tamper_factors: Sequence[float]) -> List[AuthResponse]:
+    """Frame + MAC many devices' turns from already-measured responses.
+
+    Row ``i`` is device ``i``'s Fig. 4 message: its session index,
+    ``r_i XOR r_{i+1}`` (``fresh[i]``), ``H XOR CC`` with the clock count
+    scaled by ``tamper_factors[i]`` and ``nonces[i]``, MAC'd under
+    ``r_i``; ``(challenges[i], fresh[i])`` is left pending until the
+    confirmation.  The stored and masked responses pack in two
+    :func:`pad_bits_batch` passes and every body is MAC'd in one
+    :func:`~repro.crypto.mac.mac_batch` call.  A device listed twice
+    keeps its last row's turn pending, as framing the rows one at a
+    time would leave it.  The rows are checked before any device is
+    touched: a value above 1 or a fresh response whose width differs
+    from the stored one raises ``ValueError`` and leaves every device as
+    it was.
+    """
+    stored = [np.asarray(device.current_response, dtype=np.uint8)
+              for device in devices]
+    fresh = [np.asarray(row, dtype=np.uint8) for row in fresh]
+    if any(old.shape != new.shape for old, new in zip(stored, fresh)):
+        raise ValueError("bit arrays must have equal length")
+    keys = pad_bits_batch(stored)
+    # With every stored bit checked, a masked value above 1 can only
+    # come from the fresh row, so this pass checks those too.
+    masked = pad_bits_batch([np.bitwise_xor(old, new)
+                             for old, new in zip(stored, fresh)])
+    bodies = [
+        encode_fields([
+            device._session.to_bytes(4, "big"),
+            packed,
+            mask_integrity(device.firmware_hash,
+                           int(device.clock_count * factor)),
+            nonce,
+        ])
+        for device, packed, nonce, factor in zip(devices, masked, nonces,
+                                                 tamper_factors)
+    ]
+    responses = []
+    for device, challenge, new, body, tag in zip(
+            devices, challenges, fresh, bodies, mac_batch(bodies, keys)):
+        device._pending = (challenge, new)
+        responses.append(AuthResponse(device.device_id, body, tag))
+    return responses
 
 
 @dataclass
@@ -500,7 +535,7 @@ class BatchVerifier:
                             for candidate in candidates]),
             [candidate[0].tag for candidate in candidates],
         )
-        valid: List[AuthResponse] = []
+        valid: List[tuple] = []  # (response, record)
         masked_rows: List[np.ndarray] = []
         stored_rows: List[np.ndarray] = []
         for (response, record, nonce), tag_ok in zip(candidates, mac_ok):
@@ -552,7 +587,7 @@ class BatchVerifier:
             # without bound for a device that never reaches finalize.
             self._seen_tags.setdefault(response.device_id, set()).add(
                 bytes(response.tag))
-            valid.append(response)
+            valid.append((response, record))
             masked_rows.append(bits[: record.current_response.size])
             stored_rows.append(record.current_response)
         if not valid:
@@ -564,9 +599,7 @@ class BatchVerifier:
         )
         # The confirmation MAC proves knowledge of c_{i+1}; gather every
         # accepted device's derivation into one batched DRBG expansion.
-        challenge_bits = [
-            self.registry.record(r.device_id).challenge_bits for r in valid
-        ]
+        challenge_bits = [record.challenge_bits for __, record in valid]
         if len(set(challenge_bits)) == 1:
             challenges = derive_challenge_batch(stored, challenge_bits[0])
         else:
@@ -574,10 +607,10 @@ class BatchVerifier:
                           for row in range(len(valid))]
         confirmations = confirmation_mac_batch(
             challenges,
-            [nonces[response.device_id] for response in valid],
+            [nonces[response.device_id] for response, __ in valid],
             new_responses,
         )
-        for row, response in enumerate(valid):
+        for row, (response, record) in enumerate(valid):
             # The pending is stamped with its round nonce so finalize and
             # abort acks can prove which round they speak for: a delayed
             # or duplicated ack frame from a superseded round must never
@@ -587,11 +620,8 @@ class BatchVerifier:
             if self.commit_log is not None:
                 # Write-ahead: park the candidate before the confirmation
                 # can leave the verifier, keyed to the session it closes.
-                self.commit_log.park(
-                    response.device_id,
-                    self.registry.record(response.device_id).sessions,
-                    new_responses[row],
-                )
+                self.commit_log.park(response.device_id, record.sessions,
+                                     new_responses[row])
             report.confirmations[response.device_id] = confirmations[row]
 
     def _recover_interrupted(self, responses: Sequence[AuthResponse]) -> None:

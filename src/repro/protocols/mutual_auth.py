@@ -38,7 +38,7 @@ from repro.crypto.mac import mac as compute_mac
 from repro.crypto.mac import mac_batch, verify_mac
 from repro.system.channel import Channel
 from repro.system.soc import DeviceSoC
-from repro.utils.bits import BitArray, bits_from_bytes, bytes_from_bits, xor_bits
+from repro.utils.bits import BitArray, _as_bits, bits_from_bytes, xor_bits
 from repro.utils.rng import derive_rng
 from repro.utils.serialization import decode_fields, encode_fields
 
@@ -95,11 +95,8 @@ class AuthenticationFailure(Exception):
 
 
 def _pad_bits(bits: BitArray) -> bytes:
-    padded = np.concatenate([
-        np.asarray(bits, dtype=np.uint8),
-        np.zeros((-len(bits)) % 8, dtype=np.uint8),
-    ])
-    return bytes_from_bits(padded)
+    """Pack a bit row into bytes, zero-filling the last byte's tail."""
+    return np.packbits(_as_bits(bits)).tobytes()
 
 
 def pad_bits_batch(rows) -> List[bytes]:
@@ -108,13 +105,16 @@ def pad_bits_batch(rows) -> List[bytes]:
     Equal-length rows (the common fleet case) pack as one
     ``np.packbits`` call over the stacked matrix — ``packbits`` pads
     each row's tail with zero bits exactly like ``_pad_bits``; ragged
-    rows (mixed device generations) fall back per row.
+    rows (mixed device generations) fall back per row.  A value above 1
+    raises ``ValueError`` either way.
     """
     rows = [np.asarray(row, dtype=np.uint8) for row in rows]
     if not rows:
         return []
     if len({row.size for row in rows}) == 1:
-        packed = np.packbits(np.vstack(rows), axis=1)
+        matrix = np.vstack(rows)
+        _as_bits(matrix)  # the bit check; raises on a value above 1
+        packed = np.packbits(matrix, axis=1)
         return [row.tobytes() for row in packed]
     return [_pad_bits(row) for row in rows]
 
@@ -166,14 +166,7 @@ def derive_challenge_batch(responses, n_bits: int) -> np.ndarray:
     """
     matrix = np.atleast_2d(np.asarray(responses, dtype=np.uint8))
     n_bytes = math.ceil(n_bits / 8)
-    pad = (-matrix.shape[1]) % 8
-    if pad:
-        padded = np.concatenate(
-            [matrix, np.zeros((matrix.shape[0], pad), dtype=np.uint8)], axis=1
-        )
-    else:
-        padded = matrix
-    packed = np.packbits(padded, axis=1)
+    packed = np.packbits(matrix, axis=1)
     raw = b"".join(
         _derive_challenge_bytes(row.tobytes(), n_bytes)
         for row in packed

@@ -162,3 +162,144 @@ class TestMacBatch:
             mac_batch([b"a"], [])
         with pytest.raises(ValueError):
             verify_mac_batch([b"a"], [b"k"], [])
+
+
+class ReferenceHmacDrbg:
+    """SP 800-90A HMAC_DRBG with SHA-256, built on the stdlib ``hmac``.
+
+    Written from the standard (10.1.2): Update, Instantiate, Generate
+    without additional input, and Reseed.  It shares no code with
+    :class:`repro.crypto.drbg.HmacDrbg`.
+    """
+
+    def __init__(self, entropy: bytes, personalization: bytes = b""):
+        self.key = b"\x00" * 32
+        self.value = b"\x01" * 32
+        self.update(entropy + personalization)
+
+    @staticmethod
+    def _hmac(key: bytes, data: bytes) -> bytes:
+        import hashlib
+        import hmac
+
+        return hmac.new(key, data, hashlib.sha256).digest()
+
+    def update(self, provided: bytes = b"") -> None:
+        self.key = self._hmac(self.key, self.value + b"\x00" + provided)
+        self.value = self._hmac(self.key, self.value)
+        if provided:
+            self.key = self._hmac(self.key, self.value + b"\x01" + provided)
+            self.value = self._hmac(self.key, self.value)
+
+    def generate(self, n_bytes: int) -> bytes:
+        temp = b""
+        while len(temp) < n_bytes:
+            self.value = self._hmac(self.key, self.value)
+            temp += self.value
+        # The post-generate update gives backtracking resistance.
+        self.update()
+        return temp[:n_bytes]
+
+    def reseed(self, entropy: bytes) -> None:
+        self.update(entropy)
+
+    def randint_below(self, bound: int) -> int:
+        n_bytes = (bound.bit_length() + 7) // 8
+        limit = (1 << (8 * n_bytes)) // bound * bound
+        while True:
+            candidate = int.from_bytes(self.generate(n_bytes), "big")
+            if candidate < limit:
+                return candidate % bound
+
+
+class TestDrbgKnownAnswers:
+    """HmacDrbg byte for byte against the stdlib-built reference."""
+
+    @pytest.mark.parametrize("seed, personalization", [
+        (b"seed", b""),
+        (b"seed", b"hsc-iot-challenge"),
+        (bytes(range(256)), b"p" * 70),
+        (b"", b""),
+    ])
+    def test_instantiate_and_generate(self, seed, personalization):
+        ours = HmacDrbg(seed, personalization)
+        reference = ReferenceHmacDrbg(seed, personalization)
+        # One block, several blocks, a partial block, nothing, repeats.
+        for n_bytes in (32, 100, 7, 0, 64, 1, 33):
+            assert ours.generate(n_bytes) == reference.generate(n_bytes)
+
+    def test_reseed(self):
+        ours = HmacDrbg(b"seed", b"pers")
+        reference = ReferenceHmacDrbg(b"seed", b"pers")
+        assert ours.generate(70) == reference.generate(70)
+        ours.reseed(b"fresh entropy")
+        reference.reseed(b"fresh entropy")
+        for n_bytes in (33, 5, 96):
+            assert ours.generate(n_bytes) == reference.generate(n_bytes)
+
+    @pytest.mark.parametrize("bound", [1, 2, 10, 255, 256, 1000, 2**40 + 3])
+    def test_randint_below(self, bound):
+        ours = HmacDrbg(b"seed")
+        reference = ReferenceHmacDrbg(b"seed")
+        assert [ours.randint_below(bound) for _ in range(50)] == \
+            [reference.randint_below(bound) for _ in range(50)]
+
+    def test_recorded_stream(self):
+        drbg = HmacDrbg(b"seed", b"pers")
+        assert drbg.generate(70).hex() == (
+            "e9d46de0679214100dda4e8a671a8095df2cb4bf396b4196c03cd08a5f5d6c88"
+            "3a74507709edb610528e59c4b5037c6b2f3e49cea38c4a16d69bc9d429602e86"
+            "b5c045300c78"
+        )
+        assert drbg.generate(5).hex() == "01c40fc388"
+        drbg.reseed(b"e")
+        assert drbg.generate(33).hex() == (
+            "bff1ba680ae4a564ad4af52f25f613abdeb32e8bc2d8efbe1c379a82b7f129d1"
+            "79"
+        )
+        assert [drbg.randint_below(1000) for _ in range(3)] == [650, 512, 934]
+
+
+class TestChallengeDerivation:
+    """c_{i+1} = RNG(r_i), pinned to bytes recorded before the DRBG
+    stopped going through the MAC key cache."""
+
+    CASES = [
+        ("0" * 32, 64, "2bcb508c5b01ed2d"),
+        ("1" * 32, 64, "aee6066bb3770c72"),
+        ("10110011100011110", 100, "82da53fb2b3031cf3521bedd00"),
+    ]
+
+    @pytest.mark.parametrize("response, n_bits, expected", CASES)
+    def test_derive_challenge_known_answers(self, response, n_bits,
+                                            expected):
+        import numpy as np
+
+        from repro.protocols import mutual_auth
+
+        bits = np.array([int(bit) for bit in response], dtype=np.uint8)
+        mutual_auth._challenge_cache.clear()
+        challenge = mutual_auth.derive_challenge(bits, n_bits)
+        assert challenge.size == n_bits
+        assert np.packbits(challenge).tobytes().hex() == expected
+
+    def test_batch_leaves_the_session_key_cache_alone(self):
+        import importlib
+
+        import numpy as np
+
+        from repro.protocols import mutual_auth
+
+        mac_module = importlib.import_module("repro.crypto.mac")
+        mac_module.mac(b"warm", b"live session key")
+        before = list(mac_module._state_cache.items())
+        mutual_auth._challenge_cache.clear()
+        responses = np.random.default_rng(5).integers(
+            0, 2, (256, 32)).astype(np.uint8)
+        challenges = mutual_auth.derive_challenge_batch(responses, 64)
+        assert list(mac_module._state_cache.items()) == before
+        for row in (0, 97, 255):
+            mutual_auth._challenge_cache.clear()
+            assert np.array_equal(
+                challenges[row],
+                mutual_auth.derive_challenge(responses[row], 64))
