@@ -300,7 +300,6 @@ class FleetSimulator:
         seed: int = 0,
         device_factory: Optional[Callable[[int], FleetDevice]] = None,
         capture_window: int = 256,
-        shard_workers: Optional[int] = None,
     ):
         self.registry = registry
         self.devices: Dict[str, FleetDevice] = {
@@ -313,22 +312,6 @@ class FleetSimulator:
         # byte-identical to sorted(self.devices), so every RNG-driven
         # selection (churn victims) is unchanged.
         self._sorted_ids: List[str] = sorted(self.devices)
-        # Sharded execution: attach a multi-core executor to every
-        # distinct stacked plane in the fleet, so campaign rounds run
-        # one shard per worker through the pipelined scheduler.  Planes
-        # that already carry an executor are left as wired.
-        self._sharded_planes: List = []
-        if shard_workers is not None:
-            seen_planes = set()
-            for device in self.devices.values():
-                plane = device.plane
-                if (plane is None or id(plane) in seen_planes
-                        or not hasattr(plane, "shard")):
-                    continue
-                seen_planes.add(id(plane))
-                if getattr(plane, "executor", None) is None:
-                    plane.shard(n_workers=shard_workers)
-                    self._sharded_planes.append(plane)
         self.verifier = verifier or BatchVerifier(registry, seed=seed)
         self.faults = faults or FaultModel()
         self.adversaries = list(adversaries)
@@ -541,12 +524,6 @@ class FleetSimulator:
         self.stats.elapsed_s += time.perf_counter() - start
         self.stats.desynchronized = len(self.desynchronized())
         return self.stats
-
-    def close(self) -> None:
-        """Shut down any sharded executors this simulator attached."""
-        for plane in self._sharded_planes:
-            plane.close_executor()
-        self._sharded_planes = []
 
     # -- lifecycle: persistence -------------------------------------------
 

@@ -191,7 +191,6 @@ class FleetRegistry:
                   for device in devices]
         harvested: List[Optional[np.ndarray]] = [None] * len(devices)
         groups: Dict[int, List[int]] = {}
-        planes: Dict[int, object] = {}
         for position, device in enumerate(devices):
             plane = getattr(device, "plane", None)
             if plane is None or getattr(device, "plane_row", None) is None:
@@ -202,34 +201,14 @@ class FleetRegistry:
                 )
             else:
                 groups.setdefault(id(plane), []).append(position)
-                planes[id(plane)] = plane
-        # Plane groups harvest through the staged path when available:
-        # with a sharded executor attached, each worker measures its
-        # shard's pool rows while the parent converts the previous
-        # shard's harvest into records.
-        staged_groups = []
-        for key, positions in groups.items():
-            plane = planes[key]
-            rows = [devices[p].plane_row for p in positions]
-            stacked_blocks = np.stack([blocks[p] for p in positions])
-            if hasattr(plane, "evaluate_staged"):
-                staged = plane.evaluate_staged(
-                    stacked_blocks, measurements=measurement, dies=rows,
-                )
-            else:
-                staged = iter([(
-                    np.arange(len(positions)),
-                    plane.evaluate(stacked_blocks,
-                                   measurements=measurement, dies=rows),
-                )])
-            staged_groups.append((positions, staged))
-        for positions, staged in staged_groups:
-            for chunk, bits in staged:
-                for index, local in enumerate(np.asarray(chunk,
-                                                         dtype=np.intp)):
-                    harvested[positions[local]] = np.asarray(
-                        bits[index], dtype=np.uint8,
-                    )
+        for positions in groups.values():
+            bits = devices[positions[0]].plane.evaluate(
+                np.stack([blocks[p] for p in positions]),
+                measurements=measurement,
+                dies=[devices[p].plane_row for p in positions],
+            )
+            for index, position in enumerate(positions):
+                harvested[position] = bits[index]
         records = [self._make_record(device, blocks[position],
                                      harvested[position])
                    for position, device in enumerate(devices)]

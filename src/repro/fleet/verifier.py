@@ -477,10 +477,10 @@ class BatchVerifier:
         ``AuthVerifier.process_response`` / ``finalize``, so a lost
         confirmation never desynchronizes the two sides.
 
-        The pipelined :meth:`authenticate_fleet` calls the underlying
-        :meth:`_verify_round_into` once per shard chunk instead, sharing
-        one report and duplicate-device set across the round; the two
-        produce identical reports for identical messages.
+        :meth:`authenticate_fleet` calls the underlying
+        :meth:`_verify_round_into` once per chunk of device turns
+        instead, sharing one report and duplicate-device set across the
+        round; the two produce identical reports for identical messages.
         """
         report = BatchAuthReport()
         self._verify_round_into(report, responses, nonces, set())
@@ -813,15 +813,14 @@ class BatchVerifier:
     def authenticate_fleet(self, devices: Sequence[FleetDevice]) -> BatchAuthReport:
         """Run one full mutual-auth session for every device, in one call.
 
-        The round is a pipeline over shards: device turns stream out of
-        :func:`repro.fleet.rounds.respond_round_staged` one shard chunk
-        at a time (challenge
-        derivation up front, plane passes on the sharded executor's
-        workers when one is attached), and each chunk's MAC framing and
-        verification run *while the next shard's tensor pass is still in
-        flight*.  Without an executor there is a single chunk and the
-        flow reduces to the PR 3 batch path; either way the resulting
-        report, device state, and message bytes are identical.
+        Device turns come out of
+        :func:`repro.fleet.rounds.respond_round_staged` one chunk at a
+        time — the unattached devices, then one chunk per plane — and
+        each chunk is verified as it arrives, with one report and one
+        duplicate-device set shared across the round, so every device
+        gets the verdict :meth:`verify_round` gives it on the flat
+        :func:`repro.fleet.rounds.respond_round` output.  Each device
+        then checks its confirmation and is finalized or aborted.
         """
         nonces = self.open_round([device.device_id for device in devices])
         report = BatchAuthReport()

@@ -46,10 +46,10 @@ Round coalescer:
   ``repro_coalescer_flushes_total{reason}`` (``size``/``deadline``).
 
 Socket plane (:func:`instrument_server` / :func:`instrument_chaos`;
-the deprecated ``ServerMetrics``/``ChaosMetrics`` attribute shims
-write the same series):
+the ``ServerMetrics``/``ChaosMetrics`` attribute counters write the
+same series):
 
-- ``repro_net_server_*_total`` — one per legacy ``ServerMetrics``
+- ``repro_net_server_*_total`` — one per ``ServerMetrics``
   field (connections, requests, flush reasons, auths, backpressure
   ``reads_paused``, ...).
 - ``repro_net_handshake_latency_seconds`` — hello/welcome latency.

@@ -2,8 +2,8 @@
 
 This module is deliberately **import-light**: it never imports
 :mod:`repro.service` or :mod:`repro.fleet` (the service modules import
-*it* for the deprecation shims, so a top-level import here would be a
-cycle).  Everything binds by duck typing:
+*it* for :class:`RegistryBackedCounters`, so a top-level import here
+would be a cycle).  Everything binds by duck typing:
 
 - :func:`instrument_service` /
   :meth:`ServiceObs.bind_verifier` — outcome counters, round-latency
@@ -11,8 +11,8 @@ cycle).  Everything binds by duck typing:
   round trace spans for an :class:`~repro.service.facade.AuthService`
   or a bare :class:`~repro.fleet.verifier.BatchVerifier`.
 - :func:`instrument_server` / :func:`instrument_chaos` — migrate the
-  (deprecated) ``ServerMetrics``/``ChaosMetrics`` attribute counters
-  onto a shared registry, carrying over any counts already taken, and
+  ``ServerMetrics``/``ChaosMetrics`` attribute counters onto a shared
+  registry, carrying over any counts already taken, and
   add handshake-latency timing.
 - :func:`instrument_backend` — checkpoint duration/bytes plus sampled
   eviction/fault/WAL counters for a ``ShardedFileBackend``.
@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.obs.registry import MetricsRegistry, _deprecated
+from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import RoundTracer
 
 __all__ = [
@@ -65,17 +65,17 @@ CHECKPOINT_BYTE_BUCKETS = tuple(4096.0 * 16.0 ** k for k in range(8))
 
 
 class RegistryBackedCounters:
-    """Base for the deprecated ``ServerMetrics``/``ChaosMetrics`` shims.
+    """Base for ``ServerMetrics``/``ChaosMetrics``: plain-int counters
+    backed by a :class:`~repro.obs.registry.MetricsRegistry`.
 
-    The attribute API is preserved exactly — ``metrics.requests += 1``
-    and ``metrics.to_json()`` behave as before — but the counts now
-    live as :class:`~repro.obs.registry.Counter` series.  Standalone
-    construction (no registry argument) is deprecated and backs the
-    instance with a private registry; :func:`instrument_server` /
-    :func:`instrument_chaos` rebind onto a shared one.
+    ``metrics.requests += 1`` and ``metrics.to_json()`` read and write
+    :class:`~repro.obs.registry.Counter` series on the registry passed
+    at construction; :func:`instrument_server` /
+    :func:`instrument_chaos` rebind an owner's counters onto a shared
+    one.
 
     Attribute writes go through ``Counter._set_total`` deliberately
-    un-gated on the registry's enabled flag: the legacy API promised
+    un-gated on the registry's enabled flag: the attribute API promises
     the counts are always live, and the socket server's accounting
     (e.g. ``drained_tickets``) must stay correct even when an operator
     disables scraping.
@@ -85,29 +85,8 @@ class RegistryBackedCounters:
     _FIELDS: Tuple[str, ...] = ()
     _HELP: Dict[str, str] = {}
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
+    def __init__(self, registry: MetricsRegistry,
                  labels: Optional[Dict[str, object]] = None):
-        if registry is None:
-            _deprecated(
-                f"constructing {type(self).__name__}() without a registry",
-                "repro.obs.MetricsRegistry (instrument_server / "
-                "instrument_chaos)",
-            )
-            registry = MetricsRegistry()
-        self._bind_registry(registry, labels)
-
-    @classmethod
-    def _for_owner(cls, registry: Optional[MetricsRegistry] = None,
-                   labels: Optional[Dict[str, object]] = None
-                   ) -> "RegistryBackedCounters":
-        """Internal constructor: no deprecation chatter."""
-        self = cls.__new__(cls)
-        self._bind_registry(
-            registry if registry is not None else MetricsRegistry(), labels)
-        return self
-
-    def _bind_registry(self, registry: MetricsRegistry,
-                       labels: Optional[Dict[str, object]]) -> None:
         bind = object.__setattr__
         bind(self, "_registry", registry)
         bind(self, "_labels",
@@ -534,10 +513,10 @@ def instrument_server(server: object, registry: MetricsRegistry, *,
                       ) -> ServerObs:
     """Migrate a server's counters onto ``registry`` (values carry over)."""
     old = server.metrics
-    shim = type(old)._for_owner(registry, labels=labels)
+    metrics = type(old)(registry, labels=labels)
     for name in type(old)._FIELDS:
-        setattr(shim, name, getattr(old, name))
-    server.metrics = shim
+        setattr(metrics, name, getattr(old, name))
+    server.metrics = metrics
     server._obs = ServerObs(registry, labels)
     return server._obs
 
@@ -546,11 +525,11 @@ def instrument_chaos(transport: object, registry: MetricsRegistry, *,
                      labels: Optional[Dict[str, object]] = None) -> object:
     """Migrate a ``ChaosTransport``'s counters onto ``registry``."""
     old = transport.metrics
-    shim = type(old)._for_owner(registry, labels=labels)
+    metrics = type(old)(registry, labels=labels)
     for name in type(old)._FIELDS:
-        setattr(shim, name, getattr(old, name))
-    transport.metrics = shim
-    return shim
+        setattr(metrics, name, getattr(old, name))
+    transport.metrics = metrics
+    return metrics
 
 
 def instrument_backend(backend: object, registry: MetricsRegistry, *,

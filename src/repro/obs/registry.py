@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 import time
-import warnings
 from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -54,16 +53,6 @@ _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 #: The series every metric folds into once ``max_label_sets`` distinct
 #: label combinations exist (bounded-cardinality overflow).
 OVERFLOW_LABEL = "other"
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated and will be removed two minor releases "
-        f"after 0.8.0; use {new} instead (see the README migration "
-        f"table)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class Metric:
@@ -139,9 +128,9 @@ class Counter(Metric):
         return self._series.get(self._key(labels), 0)
 
     def _set_total(self, value: float, **labels: object) -> None:
-        """Internal: absolute write for collectors and shim setattr.
+        """Internal: absolute write for collectors and attribute counters.
 
-        Deliberately *not* gated on ``enabled`` — the deprecated
+        Deliberately *not* gated on ``enabled`` — the
         ``ServerMetrics``/``ChaosMetrics`` attribute APIs promise their
         counts stay correct regardless of registry state.
         """

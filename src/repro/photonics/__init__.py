@@ -40,12 +40,6 @@ from repro.photonics.engine import (
     stacked_ring_scan,
 )
 from repro.photonics.fleet_engine import CompiledFleet
-from repro.photonics.shard import (
-    ShardedFleetExecutor,
-    ShardLayout,
-    shard_fleet,
-    usable_cores,
-)
 from repro.photonics.mesh import (
     DiscreteTimeRing,
     MixingLayer,
@@ -90,10 +84,6 @@ __all__ = [
     "SILICON_DN_DT",
     "CompiledFleet",
     "CompiledMesh",
-    "ShardLayout",
-    "ShardedFleetExecutor",
-    "shard_fleet",
-    "usable_cores",
     "environment_cache_key",
     "stacked_ring_scan",
     "DiscreteTimeRing",

@@ -31,8 +31,7 @@ a JIT kernel must never flip a differential-readout comparison.
 representative inputs at first use; :func:`resolve_backend` falls back
 to numpy with a recorded ``degraded_reason`` when a backend is
 unavailable or fails that check, so callers never need a second code
-path (mirroring the sharded executor's degraded mode).  Every backend
-accepts and returns host (numpy) arrays.
+path.  Every backend accepts and returns host (numpy) arrays.
 """
 
 from __future__ import annotations
@@ -313,8 +312,8 @@ def resolve_backend(name: str) -> Tuple[ArrayBackend, Optional[str]]:
 
     Returns ``(backend, degraded_reason)``: the requested backend and
     ``None`` when it is available and passes its first-use self-check,
-    otherwise the numpy reference and a human-readable reason — the
-    same graceful-degradation contract as the sharded executor.
+    otherwise the numpy reference and a human-readable reason, so a
+    missing toolchain costs speed, never correctness.
     Unknown names still raise ``ValueError`` (a typo is a config error,
     not a runtime condition).
     """

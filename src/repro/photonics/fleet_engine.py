@@ -534,51 +534,6 @@ class CompiledFleet:
             self._spectra_cache[key] = cached
         return (h_real, h_imag, *cached)
 
-    def adopt_kernel(self, launch: int, n_samples: int, h_real: np.ndarray,
-                     h_imag: np.ndarray) -> None:
-        """Install a pre-built time-domain kernel (shared-memory adoption).
-
-        The sharded execution layer (:mod:`repro.photonics.shard`)
-        computes each kernel once in the parent and hands every worker a
-        zero-copy view of its shard's rows; adopting it here means the
-        worker never rebuilds fleet-wide kernels.  The arrays must be
-        laid out exactly as :meth:`impulse_response` returns them.
-        """
-        self._kernel_cache[(int(launch), int(n_samples))] = (h_real, h_imag)
-
-    def adopt_spectra(self, launch: int, n_samples: int,
-                      spectra: np.ndarray, fft_length: int) -> None:
-        """Install pre-built kernel spectra, as :meth:`adopt_kernel` does
-        for the taps (``spectra`` laid out as :meth:`response_kernel`
-        returns it)."""
-        self._spectra_cache[(int(launch), int(n_samples))] = (
-            spectra, int(fft_length)
-        )
-
-    def shard_view(self, start: int, stop: int) -> "CompiledFleet":
-        """A zero-copy :class:`CompiledFleet` over dies ``start:stop``.
-
-        Operator tensors are sliced views (no copy); the kernel caches
-        start empty — use :meth:`adopt_kernel` / :meth:`adopt_spectra` to
-        share kernels too.
-        """
-        if not 0 <= start < stop <= self.n_dies:
-            raise ValueError(
-                f"shard [{start}, {stop}) outside fleet of {self.n_dies}"
-            )
-        return CompiledFleet(
-            n_dies=stop - start,
-            n_channels=self.n_channels,
-            n_stages=self.n_stages,
-            delay_samples=self.delay_samples,
-            with_memory=self.with_memory,
-            stage_matrices=self.stage_matrices[start:stop],
-            ring_b=self.ring_b[start:stop],
-            ring_a=self.ring_a[start:stop],
-            static_matrix=self.static_matrix[start:stop],
-            backend_name=self.backend_name,
-        )
-
     def modulated_response(
         self, waves: np.ndarray, launch: int, dies=None
     ) -> np.ndarray:

@@ -3,7 +3,7 @@
 Every provisioning and execution knob lives in two frozen dataclasses:
 
 * :class:`EngineConfig` — *how* measurements execute: the fleet-stacked
-  plane and the sharded multi-core executor;
+  plane and its compute backend;
 * :class:`FleetConfig` — *what* the fleet is and how the service runs
   it: fleet size, seeds, spot pools, PUF design knobs, the coalescer's
   latency budget and batch size (shared by the in-process service and
@@ -17,7 +17,7 @@ service snapshot carries its own configuration.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from repro.fleet.lifecycle import FaultModel
@@ -32,7 +32,7 @@ def _reject_unknown_keys(state: Mapping[str, Any], allowed, what: str) -> None:
     """Unknown config keys are an error, not silence.
 
     A silently-ignored key is a misconfiguration that looks healthy
-    (``sharded_workers: 8`` runs single-core forever); naming the
+    (``backed: "numba"`` runs on numpy forever); naming the
     unknown and the allowed set makes the failure immediate and clear.
     """
     unknown = sorted(set(state) - set(allowed))
@@ -48,10 +48,9 @@ class EngineConfig:
     """Execution-engine knobs: how photonic measurements run.
 
     ``stacked`` compiles the whole die family into one fleet-stacked
-    execution plane (one tensor pass per round); ``shard_workers``
-    additionally attaches a sharded multi-core executor to that plane.
-    ``stacked=False`` forces the per-die batch-1 path (the provisioning
-    baseline the throughput benchmarks pin against).
+    execution plane (one tensor pass per round).  ``stacked=False``
+    forces the per-die batch-1 path (the provisioning baseline the
+    throughput benchmarks pin against).
 
     ``backend`` names the compute backend the stacked plane runs its
     hot primitives on (see :mod:`repro.photonics.backend`): ``"numpy"``
@@ -62,20 +61,9 @@ class EngineConfig:
     """
 
     stacked: bool = True
-    shard_workers: Optional[int] = None
     backend: str = "numpy"
 
     def __post_init__(self) -> None:
-        if self.shard_workers is not None:
-            if int(self.shard_workers) < 1:
-                raise ValueError(
-                    f"shard_workers must be >= 1, got {self.shard_workers}"
-                )
-            if not self.stacked:
-                raise ValueError(
-                    "shard_workers requires stacked=True (the sharded "
-                    "executor runs on the fleet-stacked plane)"
-                )
         names = compute_backend_names()
         if self.backend not in names:
             raise ValueError(
@@ -90,17 +78,17 @@ class EngineConfig:
 
     def to_state(self) -> Dict[str, Any]:
         return {"stacked": bool(self.stacked),
-                "shard_workers": (None if self.shard_workers is None
-                                  else int(self.shard_workers)),
                 "backend": str(self.backend)}
 
     @classmethod
     def from_state(cls, state: Mapping[str, Any]) -> "EngineConfig":
-        _reject_unknown_keys(
-            state, ("stacked", "shard_workers", "backend"), "engine config"
-        )
+        # Archives written before 0.10.0 carry "shard_workers": their
+        # multi-process plane executor computed the same bits, so the
+        # key is dropped.
+        state = {key: value for key, value in state.items()
+                 if key != "shard_workers"}
+        _reject_unknown_keys(state, ("stacked", "backend"), "engine config")
         return cls(stacked=bool(state.get("stacked", True)),
-                   shard_workers=state.get("shard_workers"),
                    backend=str(state.get("backend", "numpy")))
 
 
@@ -259,10 +247,6 @@ class FleetConfig:
         # Freeze a private copy: the config must not alias a caller dict
         # that later mutates under it.
         object.__setattr__(self, "puf", dict(self.puf))
-
-    def with_engine(self, **changes: Any) -> "FleetConfig":
-        """A copy with engine knobs replaced (config stays frozen)."""
-        return replace(self, engine=replace(self.engine, **changes))
 
     def make_registry_backend(self) -> RegistryBackend:
         """Build the registry storage backend this config describes."""

@@ -264,10 +264,7 @@ class ReplicaGroup:
                 await replica.chaos.aclose()
             if replica.server is not None and replica.alive:
                 await replica.server.kill()
-        # Close every registry this group ever opened, exactly once; the
-        # provisioned service additionally owns the execution plane.
-        if self.service._owned_plane is not None:
-            self.service._owned_plane.close_executor()
+        # Close every registry this group ever opened, exactly once.
         seen = set()
         for registry in self._registries:
             if id(registry) in seen:

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Optional, Set
 
 from repro.obs.instrument import RegistryBackedCounters
+from repro.obs.registry import MetricsRegistry
 from repro.utils.rng import derive_rng
 
 __all__ = ["ChaosMetrics", "ChaosTransport", "LegChaos"]
@@ -71,14 +72,11 @@ class LegChaos:
 
 
 class ChaosMetrics(RegistryBackedCounters):
-    """What the proxy actually did; the plain-int attribute API is
-    unchanged, but the counts now live as ``repro_net_chaos_*`` series
-    on a :class:`~repro.obs.MetricsRegistry`.
-
-    .. deprecated:: 0.8.0
-        Constructing ``ChaosMetrics()`` standalone is deprecated;
-        attach a shared registry with
-        :func:`repro.obs.instrument_chaos` instead.
+    """What the proxy actually did: plain ints living as
+    ``repro_net_chaos_*`` series on a
+    :class:`~repro.obs.MetricsRegistry`.  A transport starts on a
+    private registry; :func:`repro.obs.instrument_chaos` moves the
+    counts onto a shared one.
     """
 
     _PREFIX = "repro_net_chaos_"
@@ -131,7 +129,7 @@ class ChaosTransport:
         self.spare_handshake = bool(spare_handshake)
         self._host = host
         self._port = int(port)
-        self.metrics = ChaosMetrics._for_owner()
+        self.metrics = ChaosMetrics(MetricsRegistry())
         self._server: Optional[asyncio.base_events.Server] = None
         self._handlers: Set[asyncio.Task] = set()
         self._writers: Set[asyncio.StreamWriter] = set()

@@ -83,6 +83,7 @@ import numpy as np
 from repro.fleet.verifier import AuthResponse, RoundCoalescer
 from repro.obs.export import render_json, render_prometheus
 from repro.obs.instrument import RegistryBackedCounters
+from repro.obs.registry import MetricsRegistry
 from repro.protocols.mutual_auth import AuthenticationFailure, FailureKind
 from repro.service.codec import (
     SCHEMA_MINOR,
@@ -145,16 +146,12 @@ class NetConfig:
 
 
 class ServerMetrics(RegistryBackedCounters):
-    """Counters a served deployment exports; the attribute API (plain
-    ints, ``to_json()``) is unchanged, but the counts now live as
-    ``repro_net_server_*`` series on a
+    """Counters a served deployment exports: plain ints with
+    ``to_json()``, living as ``repro_net_server_*`` series on a
     :class:`~repro.obs.MetricsRegistry` — scrapeable over the wire via
-    the ``metrics`` verb (wire 1.2).
-
-    .. deprecated:: 0.8.0
-        Constructing ``ServerMetrics()`` standalone is deprecated (it
-        backs the counters with a private registry); attach a shared
-        one with :func:`repro.obs.instrument_server` instead.
+    the ``metrics`` verb (wire 1.2).  A server starts on a private
+    registry; :func:`repro.obs.instrument_server` moves the counts onto
+    a shared one.
     """
 
     _PREFIX = "repro_net_server_"
@@ -325,7 +322,7 @@ class AuthServer:
         # how a ReplicaGroup keeps standbys and deposed primaries from
         # opening rounds (see repro.service.ha).
         self.fence = fence
-        self.metrics = ServerMetrics._for_owner()
+        self.metrics = ServerMetrics(MetricsRegistry())
         self._obs = None
         self._clock = service.clock
         # The registry is read per request: an HA promotion may swap it.
@@ -934,7 +931,7 @@ class AuthServer:
     def _metrics_registry(self):
         """The registry the ``metrics`` verb serves: the server's own
         observer's, else the wrapped service's, else the one backing
-        the (possibly standalone) ``ServerMetrics`` shim."""
+        :attr:`metrics`."""
         if self._obs is not None:
             return self._obs.registry
         obs = getattr(self.service, "_obs", None)

@@ -7,7 +7,6 @@ environment); servers bind ephemeral loopback ports.
 
 import asyncio
 import json
-import warnings
 
 import pytest
 
@@ -59,20 +58,17 @@ def run(coro):
 
 
 class TestDeprecatedShims:
-    def test_bare_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="migration"):
+    """``ServerMetrics``/``ChaosMetrics``: deprecated shims until 0.10.0
+    removed their standalone construction; the attribute API stays."""
+
+    def test_bare_construction_is_a_type_error(self):
+        with pytest.raises(TypeError):
             ServerMetrics()
-        with pytest.warns(DeprecationWarning, match="migration"):
+        with pytest.raises(TypeError):
             ChaosMetrics()
 
-    def test_for_owner_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ServerMetrics._for_owner()
-            ChaosMetrics._for_owner()
-
     def test_attribute_api_is_preserved(self):
-        metrics = ServerMetrics._for_owner()
+        metrics = ServerMetrics(MetricsRegistry())
         assert metrics.requests == 0
         metrics.requests += 1
         metrics.requests += 1
@@ -84,19 +80,19 @@ class TestDeprecatedShims:
             metrics.not_a_counter
 
     def test_to_json_keeps_the_legacy_field_order(self):
-        metrics = ServerMetrics._for_owner()
+        metrics = ServerMetrics(MetricsRegistry())
         assert list(metrics.to_json()) == list(ServerMetrics._FIELDS)
         assert set(metrics.to_json().values()) == {0}
 
     def test_counts_stay_live_with_a_disabled_registry(self):
         registry = MetricsRegistry(enabled=False)
-        metrics = ServerMetrics._for_owner(registry)
+        metrics = ServerMetrics(registry)
         metrics.drained_tickets += 3
         assert metrics.drained_tickets == 3
 
     def test_fields_back_registry_counters(self):
         registry = MetricsRegistry()
-        metrics = ChaosMetrics._for_owner(registry, labels={"replica": 1})
+        metrics = ChaosMetrics(registry, labels={"replica": 1})
         metrics.frames_dropped += 4
         counter = registry.get("repro_net_chaos_frames_dropped")
         assert counter is not None

@@ -425,6 +425,8 @@ class TestPlaneSpectraAndMemo:
         monkeypatch.setattr(PhotonicStrongPUF, "_optical_env", counting)
         plane.evaluate(challenges[:3], dies=[4, 0, 2])
         plane.evaluate(challenges)
+        empty = plane.evaluate(challenges[:0], dies=[])
+        assert empty.shape == (0, 2, CONFIG["response_bits"])
         assert calls == []
 
 

@@ -40,10 +40,6 @@ class TestConfigs:
             FleetConfig(n_devices=1, latency_budget_s=-0.1)
         with pytest.raises(ValueError):
             FleetConfig(n_devices=1, clock_tolerance=1.0)
-        with pytest.raises(ValueError):
-            EngineConfig(shard_workers=0)
-        with pytest.raises(ValueError):
-            EngineConfig(stacked=False, shard_workers=2)
         with pytest.raises(TypeError):
             FleetConfig(n_devices=1, engine="stacked")
         with pytest.raises(TypeError):
@@ -52,7 +48,7 @@ class TestConfigs:
     def test_state_round_trip(self):
         config = FleetConfig(
             n_devices=7, seed=9, n_spot_crps=16, clock_tolerance=0.04,
-            engine=EngineConfig(stacked=True, shard_workers=2),
+            engine=EngineConfig(stacked=False),
             latency_budget_s=0.25, max_batch=32,
             fault_model=FaultModel(confirmation_drop=0.2, max_retries=4),
             snapshot_path="/tmp/svc", puf=dict(FAST_PUF),
@@ -77,11 +73,20 @@ class TestConfigs:
         knobs["challenge_bits"] = 9999
         assert config.puf["challenge_bits"] == FAST_PUF["challenge_bits"]
 
-    def test_with_engine(self):
-        config = FleetConfig(n_devices=2)
-        sharded = config.with_engine(shard_workers=2)
-        assert sharded.engine.shard_workers == 2
-        assert config.engine.shard_workers is None
+    def test_legacy_shard_workers_key_is_dropped(self):
+        # Archives written before 0.10.0 carry the removed knob in their
+        # engine config; they must still load.
+        for workers in (None, 2):
+            state = {"backend": "numpy", "shard_workers": workers,
+                     "stacked": True}
+            assert EngineConfig.from_state(state) == EngineConfig(
+                stacked=True, backend="numpy")
+            fleet_state = FleetConfig(n_devices=2).to_state()
+            fleet_state["engine"] = state
+            assert FleetConfig.from_state(fleet_state).engine == \
+                EngineConfig()
+        with pytest.raises(ValueError, match="shard_wrokers"):
+            EngineConfig.from_state({"stacked": True, "shard_wrokers": 2})
 
 
 class TestVerbs:
