@@ -6,7 +6,6 @@ argument of Sec. III-A (constant verifier storage vs. the CRP-database
 baseline).  Also checks the protocol's attack resistance inline.
 """
 
-import numpy as np
 import pytest
 
 from repro.attacks.protocol_attacks import replay_attack, tamper_attack

@@ -25,15 +25,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.service import AuthService, EngineConfig, FleetConfig
+from repro.service import AuthService, FleetConfig
+from tests.fleet.test_stacked_rounds import per_die_service
 
 FLEET = int(os.environ.get("FLEET_BENCH_SIZE", "256"))
 BASELINE_SLICE = max(8, FLEET // 4)
 ROUND_FLOOR = float(os.environ.get("FLEET_SPEEDUP_FLOOR", "5.0"))
 PROVISION_FLOOR = float(os.environ.get("FLEET_PROVISION_FLOOR", "3.0"))
-# Round-throughput floor an alternate JIT backend must clear over the
-# numpy plane (the 1024-device 1.5x acceptance bar; CI overrides).
-BACKEND_FLOOR = float(os.environ.get("FLEET_BACKEND_FLOOR", "1.5"))
 FLEET_JSON = "BENCH_fleet.json"
 RTOL = 1e-9
 
@@ -48,9 +46,6 @@ def _record(**kwargs) -> None:
                      for k, v in kwargs.items()})
     payload = dict(sorted(_results.items()))
     payload["fleet_size"] = FLEET
-    # The compute backend the headline numbers were measured on; the
-    # per-backend sweep lands its own records under "backends".
-    payload.setdefault("backend", "numpy")
     with open(FLEET_JSON, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -76,10 +71,11 @@ def test_fleet_provisioning_one_shot(table_printer):
     AuthService.provision(FleetConfig(n_devices=FLEET, seed=2207, **CONFIG))
     stacked_s = time.perf_counter() - start
     # Per-die compilation baseline, measured on a slice and scaled (one
-    # independent compile + harvest per device; linear by construction).
+    # independent compile + harvest per device through AuthService.enroll;
+    # linear by construction).
     start = time.perf_counter()
-    AuthService.provision(FleetConfig(
-        n_devices=BASELINE_SLICE, seed=2207, engine=EngineConfig(stacked=False), **CONFIG))
+    per_die_service(FleetConfig(
+        n_devices=BASELINE_SLICE, seed=2207, **CONFIG))
     per_die_s = (time.perf_counter() - start) * (FLEET / BASELINE_SLICE)
     ratio = per_die_s / stacked_s
     table_printer(
@@ -184,69 +180,3 @@ def test_fleet_stacked_equivalence(table_printer, stacked_fleet):
     )
     _record(equivalence_max_rel_err=worst)
     assert worst < RTOL
-
-
-def test_fleet_backend_sweep(table_printer, stacked_fleet):
-    """Round throughput per available compute backend, bits pinned.
-
-    Every available backend runs the same seeded fleet: response bits
-    must match the numpy plane exactly (the transcript-level contract),
-    and a JIT backend (numba) must clear ``BACKEND_FLOOR`` x numpy round
-    throughput.  With only numpy installed this records the reference
-    row and the floor assert does not bind.
-    """
-    from repro.photonics.backend import available_backend_names
-
-    __, baseline_devices, __ = stacked_fleet
-    rng = np.random.default_rng(17)
-    challenges = rng.integers(
-        0, 2, size=(FLEET, 2, CONFIG["puf"]["challenge_bits"]), dtype=np.uint8
-    )
-    baseline_bits = baseline_devices[0].plane.evaluate(
-        challenges, measurements=0
-    )
-    rows = []
-    sweep = {}
-    speedups = {}
-    numpy_round_s = None
-    for name in available_backend_names():
-        service = AuthService.provision(FleetConfig(
-            n_devices=FLEET, seed=1103, engine=EngineConfig(backend=name), **CONFIG))
-        devices, verifier = service.device_list, service.verifier
-        plane = devices[0].plane
-        assert plane.backend == name
-        assert np.array_equal(
-            plane.evaluate(challenges, measurements=0), baseline_bits
-        ), f"backend {name!r} flipped response bits"
-
-        def backend_round(verifier=verifier, devices=devices):
-            report = verifier.authenticate_fleet(devices)
-            assert report.n_accepted == FLEET
-
-        backend_round()  # warm kernels, MAC states, and the JIT
-        round_s = _best_of(backend_round, repeats=3)
-        if name == "numpy":
-            numpy_round_s = round_s
-        speedup = numpy_round_s / round_s
-        speedups[name] = speedup
-        degraded = plane.compiled_fleet().backend_degraded_reason
-        sweep[name] = {
-            "backend": name,
-            "round_s": float(f"{round_s:.4g}"),
-            "auths_per_sec": float(f"{FLEET / round_s:.4g}"),
-            "speedup_vs_numpy": float(f"{speedup:.4g}"),
-            "degraded_reason": degraded,
-        }
-        rows.append((name, f"{round_s * 1e3:.0f} ms",
-                     f"{FLEET / round_s:.0f}", f"{speedup:.1f}x"))
-    table_printer(
-        f"FLEET-THR — per-backend round throughput ({FLEET} devices)",
-        ["backend", "round time", "auths/s", "speedup"],
-        rows,
-    )
-    _record(backends=sweep)
-    if "numba" in speedups:
-        assert speedups["numba"] >= BACKEND_FLOOR, (
-            f"numba rounds are only {speedups['numba']:.2f}x numpy "
-            f"(floor {BACKEND_FLOOR}x)"
-        )

@@ -14,14 +14,12 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.crypto.bch import BCHCode
 from repro.metrics.nist import _longest_runs, longest_run_test
 
 BCH_FLOOR = float(os.environ.get("BCH_SPEEDUP_FLOOR", "5.0"))
 NIST_FLOOR = float(os.environ.get("NIST_SPEEDUP_FLOOR", "3.0"))
-RING_SCAN_FLOOR = float(os.environ.get("RING_SCAN_SPEEDUP_FLOOR", "3.0"))
 # Every lane that runs this module holds the readout to this one floor.
 # A 2-vCPU Xeon (4 MiB L2) reads about 3x; with die tiles too large for
 # any L2 (the original 10 MB budget) it still reads about 2.3x.
@@ -127,67 +125,6 @@ def test_nist_longest_run_floor(table_printer):
             nist_longest_run_p=float(result.p_value))
     assert speedup >= NIST_FLOOR
     assert 0.0 <= result.p_value <= 1.0
-
-
-def test_ring_scan_kernel_floor(table_printer):
-    """Numba JIT ring scan vs the numpy block-major reference.
-
-    Skips when the JIT toolchain is absent (the CI optional-deps lane
-    installs numba and binds the floor); the rtol-1e-9 equivalence
-    assert runs whenever the kernel does.
-    """
-    from repro.photonics.backend import (
-        BackendUnavailable,
-        get_backend,
-        resolve_backend,
-    )
-
-    numba, reason = resolve_backend("numba")
-    if numba.name != "numba":
-        pytest.skip(f"numba backend unavailable: {reason}")
-    try:
-        numba.ensure_ready()
-    except BackendUnavailable as exc:  # pragma: no cover - broken JIT
-        pytest.skip(str(exc))
-    reference = get_backend("numpy")
-    # A fleet-plane-shaped workload: 256 dies x 16 channels of rings,
-    # batch 2, 768 samples, delay 9 — the stacked_ring_scan call shape
-    # CompiledFleet.propagate issues per stage.
-    rng = np.random.default_rng(29)
-    shape = (256, 2, 16, 768)
-    fields = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coeff_shape = (shape[0], 1, shape[2], 1)
-    tau = rng.uniform(0.84, 0.92, coeff_shape).astype(np.complex128)
-    rho = 0.99 * np.exp(-1j * rng.uniform(0, 2 * np.pi, coeff_shape))
-    feedback = tau * rho
-    delay = 9
-
-    np.testing.assert_allclose(
-        numba.ring_scan(fields, tau, rho, feedback, delay),
-        reference.ring_scan(fields, tau, rho, feedback, delay),
-        rtol=1e-9, atol=1e-12,
-    )
-    numba_s = _time(
-        lambda: numba.ring_scan(fields, tau, rho, feedback, delay), 5
-    )
-    numpy_s = _time(
-        lambda: reference.ring_scan(fields, tau, rho, feedback, delay), 5
-    )
-    speedup = numpy_s / numba_s
-    table_printer(
-        "SAT-MICRO — ring-scan kernel (256 dies x 16 rings x 768 samples)",
-        ["path", "time", "speedup"],
-        [
-            ("numpy block-major", f"{numpy_s * 1e3:.1f} ms", "1.0x"),
-            ("numba JIT rows", f"{numba_s * 1e3:.1f} ms", f"{speedup:.1f}x"),
-        ],
-    )
-    _record(ring_scan_numpy_s=numpy_s, ring_scan_numba_s=numba_s,
-            ring_scan_speedup=speedup)
-    assert speedup >= RING_SCAN_FLOOR, (
-        f"numba ring scan is only {speedup:.1f}x numpy "
-        f"(floor {RING_SCAN_FLOOR}x)"
-    )
 
 
 def test_bitslot_readout_floor(table_printer):

@@ -14,12 +14,10 @@ Run:  python examples/authentication_fleet.py
 
 import time
 
-from repro.photonics.backend import resolve_backend
 from repro.protocols.mutual_auth import CRPDatabaseVerifier
 from repro.service import (
     AuditLogPolicy,
     AuthService,
-    EngineConfig,
     FleetConfig,
     RateLimitPolicy,
     decode_message,
@@ -36,13 +34,8 @@ def main() -> None:
 
     print("=== enrollment (one declarative FleetConfig) ===")
     audit = AuditLogPolicy()
-    # The stacked plane's compute backend is one flag: "numba" JIT-compiles
-    # the ring-scan/GEMM kernels when the toolchain is installed, and
-    # degrades to the bit-identical numpy reference (with a recorded
-    # reason) when it is not — response bits never change either way.
     config = FleetConfig(
         n_devices=fleet_size, seed=100, n_spot_crps=64,
-        engine=EngineConfig(stacked=True, backend="numba"),
         latency_budget_s=0.002, max_batch=fleet_size,
         puf=dict(challenge_bits=32, n_stages=6, response_bits=16),
     )
@@ -51,12 +44,9 @@ def main() -> None:
         audit, RateLimitPolicy(max_requests=1000, window_s=1.0),
     ])
     elapsed = time.perf_counter() - start
-    backend, degraded = resolve_backend(config.engine.backend)
-    print(f"compute backend: {backend.name}"
-          + (f" (requested {config.engine.backend!r}: {degraded})"
-             if degraded else " (JIT kernels live)"))
     print(f"enrolled {fleet_size} devices in {elapsed:.2f} s "
-          f"({fleet_size * 64 / elapsed:.0f} CRPs/s harvested, batched)")
+          f"({fleet_size * 64 / elapsed:.0f} CRPs/s harvested, one stacked "
+          "plane)")
     print(f"verifier storage: {service.registry.storage_bytes} B total "
           f"(constant in session count)\n")
 

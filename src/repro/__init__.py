@@ -37,7 +37,7 @@ from repro.fleet import (
     FleetSimulator,
 )
 from repro.protocols import provision, run_session
-from repro.service import AuthService, EngineConfig, FleetConfig
+from repro.service import AuthService, FleetConfig
 from repro.puf import (
     ArbiterPUF,
     PhotonicStrongPUF,
@@ -48,13 +48,12 @@ from repro.puf import (
 )
 from repro.system import DeviceSoC, SoCConfig
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "provision",
     "run_session",
     "AuthService",
-    "EngineConfig",
     "FleetConfig",
     "BatchVerifier",
     "FaultModel",

@@ -14,7 +14,7 @@ forward secrecy.  Key confirmation uses HMAC over the transcript.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.crypto.kdf import hkdf

@@ -7,7 +7,7 @@ over a lightweight cipher, integrity from HMAC-SHA256 over the ciphertext.
 
 from __future__ import annotations
 
-from repro.crypto.mac import hmac_sha256, verify_mac
+from repro.crypto.mac import hmac_sha256
 from repro.utils.serialization import decode_fields, encode_fields
 
 

@@ -37,10 +37,11 @@ flush + a manifest referencing the shard directory); pass
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from repro.fleet.rounds import measure_grouped
 from repro.fleet.storage.base import (
     DeviceRecord,
     RegistryBackend,
@@ -189,26 +190,7 @@ class FleetRegistry:
             return records
         blocks = [self._pool_challenges(device, n_spot_crps, seed)
                   for device in devices]
-        harvested: List[Optional[np.ndarray]] = [None] * len(devices)
-        groups: Dict[int, List[int]] = {}
-        for position, device in enumerate(devices):
-            plane = getattr(device, "plane", None)
-            if plane is None or getattr(device, "plane_row", None) is None:
-                harvested[position] = np.asarray(
-                    device.puf.evaluate_batch(blocks[position],
-                                              measurement=measurement),
-                    dtype=np.uint8,
-                )
-            else:
-                groups.setdefault(id(plane), []).append(position)
-        for positions in groups.values():
-            bits = devices[positions[0]].plane.evaluate(
-                np.stack([blocks[p] for p in positions]),
-                measurements=measurement,
-                dies=[devices[p].plane_row for p in positions],
-            )
-            for index, position in enumerate(positions):
-                harvested[position] = bits[index]
+        harvested = measure_grouped(devices, blocks, measurement)
         records = [self._make_record(device, blocks[position],
                                      harvested[position])
                    for position, device in enumerate(devices)]

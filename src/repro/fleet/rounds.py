@@ -2,10 +2,12 @@
 
 This module owns the *mechanism* of one authentication round's device
 turns — grouping plane-attached devices, running one stacked tensor
-pass per plane, and framing each plane's messages in one batched pass.
-It is internal machinery consumed by
-:meth:`repro.fleet.verifier.BatchVerifier.authenticate_fleet` and the
-lifecycle simulator; the supported public entry point is
+pass per plane, and framing each plane's messages in one batched pass —
+and the same grouping for block measurements (:func:`measure_grouped`,
+behind spot-pool enrollment and spot checks).  It is internal machinery
+consumed by :class:`repro.fleet.verifier.BatchVerifier`,
+:class:`repro.fleet.registry.FleetRegistry` and the lifecycle
+simulator; the supported public entry point is
 :class:`repro.service.AuthService`.
 """
 
@@ -16,6 +18,44 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.protocols.mutual_auth import derive_challenge_batch
+
+
+def measure_grouped(devices: Sequence, blocks: Sequence[np.ndarray],
+                    measurement: Optional[int] = None) -> List[np.ndarray]:
+    """Every device's responses to its own challenge block, per plane.
+
+    ``blocks[i]`` is device ``i``'s ``(k, challenge_bits)`` challenges;
+    returns its ``(k, response_bits)`` uint8 responses, in ``devices``
+    order.  Plane-attached devices (``plane`` and ``plane_row`` set)
+    answer as rows of one
+    :meth:`~repro.puf.photonic_strong.PhotonicFleet.evaluate` call per
+    plane; the rest call their PUF's ``evaluate_batch``.  Duck-typed:
+    a device without plane attributes counts as unattached.
+    ``measurement`` is forwarded to both paths (``None`` advances each
+    device's own measurement counter), so noise realisations match
+    per-device measurement exactly.
+    """
+    measured: List[Optional[np.ndarray]] = [None] * len(devices)
+    groups: Dict[int, List[int]] = {}
+    for position, device in enumerate(devices):
+        plane = getattr(device, "plane", None)
+        if plane is None or getattr(device, "plane_row", None) is None:
+            measured[position] = np.asarray(
+                device.puf.evaluate_batch(blocks[position],
+                                          measurement=measurement),
+                dtype=np.uint8,
+            )
+        else:
+            groups.setdefault(id(plane), []).append(position)
+    for positions in groups.values():
+        bits = devices[positions[0]].plane.evaluate(
+            np.stack([blocks[p] for p in positions]),
+            measurements=measurement,
+            dies=[devices[p].plane_row for p in positions],
+        )
+        for index, position in enumerate(positions):
+            measured[position] = np.asarray(bits[index], dtype=np.uint8)
+    return measured
 
 
 def respond_round_staged(

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.crypto.mac import mac_batch, verify_mac, verify_mac_batch
 from repro.fleet.registry import FleetRegistry
-from repro.fleet.rounds import respond_round_staged
+from repro.fleet.rounds import measure_grouped, respond_round_staged
 from repro.protocols.mutual_auth import (
     AuthenticationFailure,
     FailureKind,
@@ -864,8 +864,14 @@ class BatchVerifier:
         Every device answers its ``k`` challenges through a single
         ``evaluate_batch`` call (compiled engine), and the accept decision
         is one vectorized fractional-Hamming-distance comparison across
-        the whole fleet.
+        the whole fleet.  An empty device list checks nothing: the report
+        is empty and no spot stream is drawn.
         """
+        if not devices:
+            return SpotCheckReport(
+                device_ids=[], fractional_hd=np.zeros(0),
+                accepted=np.zeros(0, dtype=bool), threshold=threshold,
+            )
         rng = derive_rng(self.seed, "fleet-spot", self.stream_epoch,
                          self._nonce_counter)
         self._nonce_counter += 1
@@ -885,28 +891,8 @@ class BatchVerifier:
                 challenge_rows.append(record.crp_challenges[indices])
                 expected_rows.append(record.crp_responses[indices])
                 ids.append(device.device_id)
-        fresh_rows: List[Optional[np.ndarray]] = [None] * len(devices)
-        groups: Dict[int, List[int]] = {}
-        planes: Dict[int, object] = {}
-        for position, device in enumerate(devices):
-            if device.plane is None or device.plane_row is None:
-                fresh_rows[position] = device.spot_responses(
-                    challenge_rows[position]
-                )
-            else:
-                groups.setdefault(id(device.plane), []).append(position)
-                planes[id(device.plane)] = device.plane
-        for key, positions in groups.items():
-            plane = planes[key]
-            rows = [devices[p].plane_row for p in positions]
-            stacked = plane.evaluate(
-                np.stack([challenge_rows[p] for p in positions]), dies=rows
-            )
-            for index, position in enumerate(positions):
-                fresh_rows[position] = np.asarray(stacked[index],
-                                                  dtype=np.uint8)
-        fresh = np.stack(fresh_rows)        # (fleet, k, response_bits)
-        expected = np.stack(expected_rows)
+        fresh = np.stack(measure_grouped(devices, challenge_rows))
+        expected = np.stack(expected_rows)  # (fleet, k, response_bits)
         distances = np.mean(fresh != expected, axis=(1, 2))
         return SpotCheckReport(
             device_ids=ids,

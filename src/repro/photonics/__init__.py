@@ -7,17 +7,6 @@ and the passive multi-port scrambling architecture of Fig. 2 — all with
 per-die process variation and thermo-optic drift.
 """
 
-from repro.photonics.backend import (
-    ArrayBackend,
-    BackendUnavailable,
-    NumbaBackend,
-    NumpyBackend,
-    available_backend_names,
-    backend_names,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
 from repro.photonics.components import (
     DirectionalCoupler,
     MachZehnderInterferometer,
@@ -61,15 +50,6 @@ from repro.photonics.variation import (
 )
 
 __all__ = [
-    "ArrayBackend",
-    "BackendUnavailable",
-    "NumbaBackend",
-    "NumpyBackend",
-    "available_backend_names",
-    "backend_names",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
     "DirectionalCoupler",
     "MachZehnderInterferometer",
     "MicroringAddDrop",

@@ -28,12 +28,9 @@ batch.  The same scan serves the fleet-stacked engine
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from repro.photonics import backend as _backend_mod
-from repro.photonics.backend import ArrayBackend, resolve_backend
 from repro.photonics.constants import DEFAULT_WAVELENGTH
 from repro.photonics.variation import OpticalEnvironment
 
@@ -89,15 +86,29 @@ def stacked_ring_scan(
     rings plane — one scan per bank regardless of how many devices are
     stacked, instead of one Python-level filter per ring.  Agrees with
     the ``scipy.signal.lfilter`` reference to round-off.
-
-    This is the numpy reference implementation, hosted by
-    :class:`repro.photonics.backend.NumpyBackend`; the numba JIT
-    backend provides the same contract and is
-    selected per-mesh/per-fleet via ``backend_name``.
     """
-    return _backend_mod.get_backend("numpy").ring_scan(
-        fields, tau, rho, feedback, delay
+    lead = fields.shape[:-1]
+    n_samples = fields.shape[-1]
+    blocks = -(-n_samples // delay)
+    padding = blocks * delay - n_samples
+    total = blocks * delay
+    u = np.empty((*lead, total),
+                 dtype=np.result_type(tau.dtype, fields.dtype))
+    np.multiply(tau, fields, out=u[..., :n_samples])
+    if padding:
+        u[..., n_samples:] = 0.0
+    # The drive's own tail is pure padding: total - delay =
+    # (blocks - 1) * delay < n_samples, so the lagged slice never
+    # reaches into it.
+    u[..., delay:] -= rho * fields[..., :total - delay]
+    # Block-major layout: step k touches one contiguous slab.
+    w = np.ascontiguousarray(
+        np.moveaxis(u.reshape(*lead, blocks, delay), -2, 0)
     )
+    for k in range(1, blocks):
+        w[k] += feedback * w[k - 1]
+    out = np.moveaxis(w, 0, -2).reshape(*lead, total)
+    return out[..., :n_samples] if padding else out
 
 
 @dataclass(frozen=True)
@@ -114,12 +125,6 @@ class CompiledMesh:
     static_matrix:
         Product of all mixing stages — the CW (memory-ablated) response,
         used as a single-``einsum`` fast path when ``with_memory`` is off.
-    backend_name:
-        Compute backend for the ring banks (see
-        :mod:`repro.photonics.backend`).  ``"numpy"`` keeps the rescaled
-        prefix-sum path below; alternates resolve lazily at first
-        propagation and fall back to numpy (recording
-        :attr:`backend_degraded_reason`) when unavailable.
     """
 
     n_channels: int
@@ -130,16 +135,10 @@ class CompiledMesh:
     ring_b: np.ndarray
     ring_a: np.ndarray
     static_matrix: np.ndarray
-    backend_name: str = "numpy"
     # Per-(stage, blocks) scan coefficients, built lazily on first
     # propagation; mutating the cache dict is compatible with frozen.
     # Bounded to _SCAN_CACHE_LIMIT entries, evicting least-recently-used.
     _scan_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    # Lazily-resolved backend instance + degraded_reason, keyed "backend"
-    # / "degraded_reason"; a dict so the frozen dataclass can fill it in.
-    _backend_state: dict = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @classmethod
     def compile(
@@ -147,7 +146,6 @@ class CompiledMesh:
         scrambler,
         wavelength: float = DEFAULT_WAVELENGTH,
         env: OpticalEnvironment = _NOMINAL_ENV,
-        backend: str = "numpy",
     ) -> "CompiledMesh":
         """Freeze ``scrambler`` at one operating point into dense operators."""
         n = scrambler.n_channels
@@ -175,31 +173,7 @@ class CompiledMesh:
             ring_b=ring_b,
             ring_a=ring_a,
             static_matrix=static,
-            backend_name=backend,
         )
-
-    # -- compute backend ----------------------------------------------------
-
-    def compute_backend(self) -> ArrayBackend:
-        """The resolved :class:`ArrayBackend`, falling back to numpy.
-
-        Resolution (availability probe + first-use self-check) happens
-        once per mesh; an unavailable or failing backend degrades to the
-        numpy reference with the reason recorded in
-        :attr:`backend_degraded_reason`.
-        """
-        state = self._backend_state
-        if "backend" not in state:
-            backend, reason = resolve_backend(self.backend_name)
-            state["backend"] = backend
-            state["degraded_reason"] = reason
-        return state["backend"]
-
-    @property
-    def backend_degraded_reason(self) -> Optional[str]:
-        """Why the requested backend degraded to numpy (``None`` if not)."""
-        self.compute_backend()
-        return self._backend_state["degraded_reason"]
 
     # -- vectorized ring bank ---------------------------------------------
 
@@ -329,23 +303,10 @@ class CompiledMesh:
         return out[0] if squeeze else out
 
     def _propagate_tile(self, fields: np.ndarray) -> np.ndarray:
-        backend = self.compute_backend()
-        use_backend_scan = backend.name != "numpy"
         current = fields
         for stage in range(self.n_stages):
             current = np.matmul(self.stage_matrices[stage], current)
-            if use_backend_scan:
-                current = backend.ring_scan(
-                    current,
-                    self.ring_b[stage, :, 0][:, np.newaxis],
-                    -self.ring_b[stage, :, -1][:, np.newaxis],
-                    -self.ring_a[stage, :, -1][:, np.newaxis],
-                    self.delay_samples,
-                )
-            else:
-                # The rescaled prefix-sum form beats the generic scan at
-                # single-die batch sizes; keep it as the numpy fast path.
-                current = self._ring_bank(stage, current)
+            current = self._ring_bank(stage, current)
         return current
 
     def memory_footprint_bytes(self) -> int:

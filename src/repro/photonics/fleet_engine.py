@@ -45,11 +45,11 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.photonics.backend import ArrayBackend, resolve_backend
 from repro.photonics.constants import DEFAULT_WAVELENGTH, SILICON_DN_DT
 from repro.photonics.engine import (
     _TILE_TARGET_BYTES,
     CompiledMesh,
+    stacked_ring_scan,
 )
 from repro.photonics.variation import (
     OpticalEnvironment,
@@ -275,12 +275,6 @@ class CompiledFleet:
         ``(fleet, n_stages, n, delay + 1)`` stacked IIR coefficients.
     static_matrix:
         ``(fleet, n, n)`` product of each die's mixing stages.
-    backend_name:
-        Compute backend for the hot primitives (ring scans, bit-slot
-        GEMMs, spectral convolutions) — see
-        :mod:`repro.photonics.backend`.  Resolved lazily at first use;
-        unavailable or failing backends degrade to numpy with the
-        reason recorded in :attr:`backend_degraded_reason`.
     """
 
     n_dies: int
@@ -292,7 +286,6 @@ class CompiledFleet:
     ring_b: np.ndarray
     ring_a: np.ndarray
     static_matrix: np.ndarray
-    backend_name: str = "numpy"
     # (launch, n_samples) -> time-domain kernel (h_real, h_imag), and
     # separately its (spectra, fft_length), each built lazily; mutating
     # the cache dicts is compatible with frozen.
@@ -300,33 +293,6 @@ class CompiledFleet:
     _spectra_cache: dict = field(
         default_factory=dict, repr=False, compare=False
     )
-    # Lazily-resolved backend instance + degraded_reason (a dict so the
-    # frozen dataclass can fill it in at first use).
-    _backend_state: dict = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    # -- compute backend ----------------------------------------------------
-
-    def compute_backend(self) -> ArrayBackend:
-        """The resolved :class:`ArrayBackend`, falling back to numpy.
-
-        Resolution (availability probe + first-use self-check) happens
-        once per fleet; a degraded backend records why in
-        :attr:`backend_degraded_reason`.
-        """
-        state = self._backend_state
-        if "backend" not in state:
-            backend, reason = resolve_backend(self.backend_name)
-            state["backend"] = backend
-            state["degraded_reason"] = reason
-        return state["backend"]
-
-    @property
-    def backend_degraded_reason(self):
-        """Why the requested backend degraded to numpy (``None`` if not)."""
-        self.compute_backend()
-        return self._backend_state["degraded_reason"]
 
     # -- compilation -------------------------------------------------------
 
@@ -336,7 +302,6 @@ class CompiledFleet:
         scramblers: Sequence,
         wavelength: float = DEFAULT_WAVELENGTH,
         envs=_NOMINAL_ENV,
-        backend: str = "numpy",
     ) -> "CompiledFleet":
         """Freeze a family of scramblers into stacked dense operators.
 
@@ -370,13 +335,10 @@ class CompiledFleet:
             ring_b=ring_b,
             ring_a=ring_a,
             static_matrix=static,
-            backend_name=backend,
         )
 
     @classmethod
-    def from_meshes(
-        cls, meshes: Sequence[CompiledMesh], backend: str = "numpy"
-    ) -> "CompiledFleet":
+    def from_meshes(cls, meshes: Sequence[CompiledMesh]) -> "CompiledFleet":
         """Stack per-die compiled meshes (the reference / fallback path)."""
         meshes = list(meshes)
         if not meshes:
@@ -398,7 +360,6 @@ class CompiledFleet:
             ring_b=np.stack([m.ring_b for m in meshes]),
             ring_a=np.stack([m.ring_a for m in meshes]),
             static_matrix=np.stack([m.static_matrix for m in meshes]),
-            backend_name=backend,
         )
 
     def mesh(self, die: int) -> CompiledMesh:
@@ -412,7 +373,6 @@ class CompiledFleet:
             ring_b=self.ring_b[die],
             ring_a=self.ring_a[die],
             static_matrix=self.static_matrix[die],
-            backend_name=self.backend_name,
         )
 
     # -- stacked propagation ----------------------------------------------
@@ -450,7 +410,6 @@ class CompiledFleet:
         if not self.with_memory:
             out = np.matmul(self.static_matrix[indices][:, np.newaxis], fields)
             return out[:, 0] if squeeze else out
-        backend = self.compute_backend()
         tau = self.ring_b[indices][..., 0]          # (fleet, stages, n)
         rho = -self.ring_b[indices][..., -1]
         feedback = -self.ring_a[indices][..., -1]
@@ -470,7 +429,7 @@ class CompiledFleet:
                     current = np.matmul(
                         matrices[f0:f1, stage][:, np.newaxis], current
                     )
-                    current = backend.ring_scan(
+                    current = stacked_ring_scan(
                         current,
                         tau[f0:f1, stage][:, np.newaxis, :, np.newaxis],
                         rho[f0:f1, stage][:, np.newaxis, :, np.newaxis],
@@ -554,7 +513,6 @@ class CompiledFleet:
             )
         __, __, spectra, length = self.response_kernel(launch, n_samples)
         spectra = spectra[indices]
-        backend = self.compute_backend()
         out = np.empty(
             (n_sel, batch, self.n_channels, n_samples), dtype=np.complex128
         )
@@ -563,9 +521,10 @@ class CompiledFleet:
         die_tile = max(1, rows // max(1, batch))
         for f0 in range(0, n_sel, die_tile):
             f1 = min(f0 + die_tile, n_sel)
-            out[f0:f1] = backend.batched_fft_convolve(
-                spectra[f0:f1], waves[f0:f1], length, n_samples
-            )
+            wave_spectra = np.fft.fft(waves[f0:f1], n=length, axis=-1)
+            product = (spectra[f0:f1, np.newaxis]
+                       * wave_spectra[:, :, np.newaxis])
+            out[f0:f1] = np.fft.ifft(product, axis=-1)[..., :n_samples]
         return out
 
     def response_power_at(
@@ -595,7 +554,6 @@ class CompiledFleet:
                 f"waves stack {n_sel} dies, selection names {indices.size}"
             )
         h_real, h_imag = self.impulse_response(launch, n_samples)
-        backend = self.compute_backend()
         n_sel_samples = samples.size
         out = np.empty(
             (n_sel, batch, self.n_channels, n_sel_samples), dtype=np.float64
@@ -623,10 +581,10 @@ class CompiledFleet:
             lag = np.empty((tile, n_samples, batch, n_sel_samples))
             lag[:] = windows[:tile][:, :, starts].transpose(0, 3, 1, 2)
             rows = indices[f0:f1]
-            power = backend.kernel_gemm(
-                h_real[rows], h_imag[rows],
-                lag.reshape(tile, n_samples, batch * n_sel_samples),
-            )
+            lag = lag.reshape(tile, n_samples, batch * n_sel_samples)
+            y_real = np.matmul(h_real[rows], lag)
+            y_imag = np.matmul(h_imag[rows], lag)
+            power = y_real * y_real + y_imag * y_imag
             out[f0:f1] = power.reshape(
                 tile, self.n_channels, batch, n_sel_samples
             ).transpose(0, 2, 1, 3)

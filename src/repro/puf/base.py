@@ -269,7 +269,7 @@ class PUFFamily:
             self._instances = [self.device(i) for i in range(self.n_devices)]
         return self._instances
 
-    def stack(self, backend: str = "numpy"):
+    def stack(self):
         """The family's stacked execution plane, or ``None``.
 
         Devices advertising a ``try_stack`` classmethod (the photonic
@@ -277,26 +277,13 @@ class PUFFamily:
         :class:`~repro.puf.photonic_strong.PhotonicFleet`) are stacked
         into fleet-wide tensors compiled in one pass; families without a
         stacked plane return ``None`` and callers use the per-die path.
-
-        ``backend`` names the compute backend the stacked plane should
-        run on (:mod:`repro.photonics.backend`); a memoized plane built
-        for a different backend is rebuilt.
         """
-        rebuild = (self._plane is not None
-                   and getattr(self._plane, "backend", "numpy") != backend)
-        if not self._plane_built or rebuild:
+        if not self._plane_built:
             devices = self.instances()
             stacker = getattr(type(devices[0]), "try_stack", None)
             # Memoized: the plane carries the compiled-fleet cache, so
             # repeated stacked calls reuse one compilation.
-            if stacker is None:
-                self._plane = None
-            else:
-                try:
-                    self._plane = stacker(devices, backend=backend)
-                except TypeError:
-                    # Stackers predating the backend knob.
-                    self._plane = stacker(devices)
+            self._plane = None if stacker is None else stacker(devices)
             self._plane_built = True
         return self._plane
 

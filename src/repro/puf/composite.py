@@ -16,14 +16,14 @@ composite response is a function of *both* dies).
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.puf.base import NOMINAL_ENV, PUFEnvironment, StrongPUF
 from repro.puf.photonic_strong import PhotonicStrongPUF
 from repro.puf.sram import SRAMPUF
-from repro.utils.bits import BitArray, bits_from_bytes, bytes_from_bits
+from repro.utils.bits import BitArray, bits_from_bytes
 
 
 def _asic_mask(fingerprint: BitArray, challenge: BitArray, n_bits: int) -> BitArray:

@@ -283,16 +283,12 @@ class PhotonicStrongPUF(StrongPUF):
         return self.responses_from_energies(energies)
 
     @classmethod
-    def try_stack(cls, pufs: Sequence["PhotonicStrongPUF"],
-                  backend: str = "numpy"):
+    def try_stack(cls, pufs: Sequence["PhotonicStrongPUF"]):
         """A :class:`PhotonicFleet` over ``pufs``, or ``None`` if they
         cannot stack (heterogeneous geometry, design, or readout chain).
-
-        ``backend`` selects the compute backend of the stacked plane
-        (see :mod:`repro.photonics.backend`).
         """
         try:
-            return PhotonicFleet(pufs, backend=backend)
+            return PhotonicFleet(pufs)
         except (ValueError, TypeError):
             return None
 
@@ -336,12 +332,10 @@ class PhotonicFleet:
     bit-compatible with running each die alone.
     """
 
-    def __init__(self, pufs: Sequence[PhotonicStrongPUF],
-                 backend: str = "numpy"):
+    def __init__(self, pufs: Sequence[PhotonicStrongPUF]):
         pufs = list(pufs)
         if not pufs:
             raise ValueError("cannot stack an empty fleet")
-        self.backend = backend
         base = pufs[0]
         for puf in pufs[1:]:
             if (puf.challenge_bits != base.challenge_bits
@@ -414,8 +408,7 @@ class PhotonicFleet:
         fleet = self._fleet_cache.get(key)
         if fleet is None:
             fleet = CompiledFleet.compile(
-                [puf.scrambler for puf in self.pufs], wavelength, opticals,
-                backend=self.backend,
+                [puf.scrambler for puf in self.pufs], wavelength, opticals
             )
             self._fleet_cache[key] = fleet
         return fleet

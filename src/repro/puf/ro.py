@@ -23,7 +23,7 @@ from repro.puf.base import (
     PUFEnvironment,
     WeakPUF,
 )
-from repro.utils.bits import BitArray, bits_from_int, int_from_bits
+from repro.utils.bits import BitArray
 from repro.utils.rng import derive_rng
 
 

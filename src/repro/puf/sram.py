@@ -11,7 +11,7 @@ both of which this model supports.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

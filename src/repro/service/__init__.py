@@ -9,8 +9,7 @@
 8
 
 * :mod:`repro.service.config` — :class:`FleetConfig` /
-  :class:`EngineConfig`, the declarative home of every provisioning and
-  execution knob;
+  :class:`HAConfig`, the declarative home of every provisioning knob;
 * :mod:`repro.service.facade` — :class:`AuthService`, the verb set
   (enroll, authenticate, spot_check, revoke, snapshot/restore) over
   registry + verifier + coalescer + execution plane;
@@ -52,7 +51,7 @@ from repro.service.codec import (
     negotiate_version,
     peek_header,
 )
-from repro.service.config import EngineConfig, FleetConfig, HAConfig
+from repro.service.config import FleetConfig, HAConfig
 from repro.service.facade import AuthOutcome, AuthService
 from repro.service.policy import (
     AuditLogPolicy,
@@ -71,7 +70,6 @@ __all__ = [
     "AuthOutcome",
     "AuthService",
     "CodecError",
-    "EngineConfig",
     "FleetConfig",
     "HAConfig",
     "RateLimitPolicy",

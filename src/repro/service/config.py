@@ -1,14 +1,13 @@
-"""Declarative fleet and engine configuration for :mod:`repro.service`.
+"""Declarative fleet configuration for :mod:`repro.service`.
 
-Every provisioning and execution knob lives in two frozen dataclasses:
+Every provisioning knob lives in frozen dataclasses:
 
-* :class:`EngineConfig` — *how* measurements execute: the fleet-stacked
-  plane and its compute backend;
 * :class:`FleetConfig` — *what* the fleet is and how the service runs
   it: fleet size, seeds, spot pools, PUF design knobs, the coalescer's
   latency budget and batch size (shared by the in-process service and
   the wire server that serves it), the optional fault model for
-  lifecycle simulation, and the persistence path.
+  lifecycle simulation, registry storage, and the persistence path;
+* :class:`HAConfig` — the replicated verifier plane.
 
 Both validate on construction and round-trip through
 ``to_state``/``from_state`` (plain JSON-serializable dicts), so a
@@ -22,7 +21,6 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.fleet.lifecycle import FaultModel
 from repro.fleet.storage import BACKEND_NAMES, RegistryBackend, make_backend
-from repro.photonics.backend import backend_names as compute_backend_names
 
 CONFIG_FORMAT = "service-fleet-config"
 CONFIG_VERSION = 1
@@ -32,7 +30,7 @@ def _reject_unknown_keys(state: Mapping[str, Any], allowed, what: str) -> None:
     """Unknown config keys are an error, not silence.
 
     A silently-ignored key is a misconfiguration that looks healthy
-    (``backed: "numba"`` runs on numpy forever); naming the
+    (``n_spot_crp: 64`` enrolls empty spot pools forever); naming the
     unknown and the allowed set makes the failure immediate and clear.
     """
     unknown = sorted(set(state) - set(allowed))
@@ -41,55 +39,6 @@ def _reject_unknown_keys(state: Mapping[str, Any], allowed, what: str) -> None:
             f"unknown {what} field(s) {', '.join(map(repr, unknown))}; "
             f"allowed: {', '.join(sorted(allowed))}"
         )
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Execution-engine knobs: how photonic measurements run.
-
-    ``stacked`` compiles the whole die family into one fleet-stacked
-    execution plane (one tensor pass per round).  ``stacked=False``
-    forces the per-die batch-1 path (the provisioning baseline the
-    throughput benchmarks pin against).
-
-    ``backend`` names the compute backend the stacked plane runs its
-    hot primitives on (see :mod:`repro.photonics.backend`): ``"numpy"``
-    (default, the bit-exactness reference) or ``"numba"`` for
-    JIT-compiled CPU kernels.  The name must be registered; a
-    registered-but-unavailable backend degrades to numpy at first use
-    with a recorded ``degraded_reason``.
-    """
-
-    stacked: bool = True
-    backend: str = "numpy"
-
-    def __post_init__(self) -> None:
-        names = compute_backend_names()
-        if self.backend not in names:
-            raise ValueError(
-                f"unknown compute backend {self.backend!r}; registered "
-                f"backends: {', '.join(names)}"
-            )
-        if self.backend != "numpy" and not self.stacked:
-            raise ValueError(
-                "backend selection requires stacked=True (alternate "
-                "backends run on the fleet-stacked plane)"
-            )
-
-    def to_state(self) -> Dict[str, Any]:
-        return {"stacked": bool(self.stacked),
-                "backend": str(self.backend)}
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, Any]) -> "EngineConfig":
-        # Archives written before 0.10.0 carry "shard_workers": their
-        # multi-process plane executor computed the same bits, so the
-        # key is dropped.
-        state = {key: value for key, value in state.items()
-                 if key != "shard_workers"}
-        _reject_unknown_keys(state, ("stacked", "backend"), "engine config")
-        return cls(stacked=bool(state.get("stacked", True)),
-                   backend=str(state.get("backend", "numpy")))
 
 
 @dataclass(frozen=True)
@@ -182,7 +131,6 @@ class FleetConfig:
     seed: int = 0
     n_spot_crps: int = 0
     clock_tolerance: float = 0.05
-    engine: EngineConfig = EngineConfig()
     latency_budget_s: float = 0.005
     max_batch: int = 256
     fault_model: Optional[FaultModel] = None
@@ -209,8 +157,6 @@ class FleetConfig:
             raise ValueError("latency_budget_s must be non-negative")
         if int(self.max_batch) < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if not isinstance(self.engine, EngineConfig):
-            raise TypeError("engine must be an EngineConfig")
         if self.fault_model is not None and not isinstance(self.fault_model,
                                                            FaultModel):
             raise TypeError("fault_model must be a FaultModel or None")
@@ -265,7 +211,6 @@ class FleetConfig:
             "seed": int(self.seed),
             "n_spot_crps": int(self.n_spot_crps),
             "clock_tolerance": float(self.clock_tolerance),
-            "engine": self.engine.to_state(),
             "latency_budget_s": float(self.latency_budget_s),
             "max_batch": int(self.max_batch),
             "fault_model": (None if self.fault_model is None
@@ -289,10 +234,15 @@ class FleetConfig:
             raise ValueError(
                 f"unsupported fleet-config version {state.get('version')!r}"
             )
+        # Archives written before 0.11.0 carry an "engine" block
+        # (stacked, backend; shard_workers before 0.10.0).  Every value
+        # computed the same bits, so the whole block is dropped.
+        state = {key: value for key, value in state.items()
+                 if key != "engine"}
         _reject_unknown_keys(
             state,
             ("format", "version", "n_devices", "seed", "n_spot_crps",
-             "clock_tolerance", "engine", "latency_budget_s", "max_batch",
+             "clock_tolerance", "latency_budget_s", "max_batch",
              "fault_model", "snapshot_path", "registry_backend",
              "storage_root", "resident_records", "ha", "puf"),
             "fleet config",
@@ -304,7 +254,6 @@ class FleetConfig:
             seed=int(state.get("seed", 0)),
             n_spot_crps=int(state.get("n_spot_crps", 0)),
             clock_tolerance=float(state.get("clock_tolerance", 0.05)),
-            engine=EngineConfig.from_state(state.get("engine", {})),
             latency_budget_s=float(state.get("latency_budget_s", 0.005)),
             max_batch=int(state.get("max_batch", 256)),
             fault_model=(None if fault_state is None

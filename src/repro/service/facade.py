@@ -143,32 +143,20 @@ class AuthService:
         """Build, provision and enroll a whole fleet from one config.
 
         Every die shares the design of
-        :func:`repro.puf.photonic_strong.photonic_strong_family`.  With
-        ``config.engine.stacked`` (default), the family is compiled
-        **once** into a fleet-stacked execution plane: provisioning
-        responses and the optional spot-check pools are harvested as
-        single stacked tensor passes, and every device is
+        :func:`repro.puf.photonic_strong.photonic_strong_family`, so the
+        family is compiled **once** into a fleet-stacked execution plane:
+        provisioning responses and the optional spot-check pools are
+        harvested as single stacked tensor passes, and every device is
         plane-attached so subsequent rounds run one pass each.  The
         challenge streams, noise realisations, and resulting records are
-        bit-identical to the per-die path (``stacked=False``).
+        bit-identical to enrolling each die through :meth:`enroll`.
         """
         family = photonic_strong_family(config.n_devices, seed=config.seed,
                                         **config.puf)
         registry = FleetRegistry(config.make_registry_backend())
-        plane = (family.stack(backend=config.engine.backend)
-                 if config.engine.stacked else None)
+        plane = family.stack()
         verifier = BatchVerifier(registry, seed=config.seed,
                                  clock_tolerance=config.clock_tolerance)
-        if plane is None:
-            devices: List[FleetDevice] = []
-            for die in range(config.n_devices):
-                device = FleetDevice(f"dev-{die:06d}", family.device(die))
-                device.provision(config.seed)
-                registry.enroll(device, n_spot_crps=config.n_spot_crps,
-                                seed=config.seed)
-                devices.append(device)
-            return cls(registry, devices, verifier, config=config,
-                       policies=policies, clock=clock)
         pufs = plane.pufs
         devices = [FleetDevice(f"dev-{die:06d}", pufs[die])
                    for die in range(config.n_devices)]

@@ -7,7 +7,7 @@ attack studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.utils.rng import derive_rng

@@ -57,8 +57,8 @@ class PoolDevice:
         self.clock_count = 1000 + index
 
 
-def fresh_registry(backend_name, tmp_path, **kwargs):
-    if backend_name == "memory":
+def fresh_registry(storage_name, tmp_path, **kwargs):
+    if storage_name == "memory":
         return FleetRegistry()
     return FleetRegistry(make_backend(
         "sharded", root=str(tmp_path / "shards"), **kwargs))

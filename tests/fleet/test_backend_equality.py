@@ -57,13 +57,13 @@ class TranscriptRecorder(Adversary):
         return messages
 
 
-def run_campaign(backend_name, tmp_path, n_spot_crps=0):
+def run_campaign(storage_name, tmp_path, n_spot_crps=0):
     config = FleetConfig(
         n_devices=FLEET, seed=SEED, n_spot_crps=n_spot_crps, puf=FAST_PUF,
-        fault_model=HOSTILE["faults"], registry_backend=backend_name,
-        **({"storage_root": str(tmp_path / backend_name),
+        fault_model=HOSTILE["faults"], registry_backend=storage_name,
+        **({"storage_root": str(tmp_path / storage_name),
             "resident_records": 8}
-           if backend_name == "sharded" else {}),
+           if storage_name == "sharded" else {}),
     )
     service = AuthService.provision(config)
     recorder = TranscriptRecorder()
@@ -133,13 +133,13 @@ class TestHostileCampaignBackendEquality:
 class TestChurnAndSpotChecksAcrossBackends:
     """Enroll/revoke churn and spot-pool burns, same on both backends."""
 
-    def run_churny(self, backend_name, tmp_path):
+    def run_churny(self, storage_name, tmp_path):
         config = FleetConfig(
             n_devices=16, seed=77, n_spot_crps=6, puf=FAST_PUF,
-            registry_backend=backend_name,
-            **({"storage_root": str(tmp_path / f"churn-{backend_name}"),
+            registry_backend=storage_name,
+            **({"storage_root": str(tmp_path / f"churn-{storage_name}"),
                 "resident_records": 4}
-               if backend_name == "sharded" else {}),
+               if storage_name == "sharded" else {}),
         )
         service = AuthService.provision(config)
         simulator = service.simulator(

@@ -25,17 +25,37 @@ from repro.protocols.mutual_auth import (
 from repro.puf.photonic_strong import PhotonicFleet, PhotonicStrongPUF
 from repro.puf import photonic_strong_family
 
-from repro.service import AuthService, EngineConfig, FleetConfig
+from repro.service import AuthService, FleetConfig
 
 CFG = dict(challenge_bits=32, n_stages=3, response_bits=16)
 FLEET = 6
 
 
+def per_die_service(config: FleetConfig) -> AuthService:
+    """The per-die reference fleet: every die enrolled on its own.
+
+    Each unattached :class:`FleetDevice` is provisioned and enrolled
+    through :meth:`AuthService.enroll`, one batch-1 measurement per die —
+    the path :meth:`AuthService.provision` must match bit for bit.
+    """
+    family = photonic_strong_family(config.n_devices, seed=config.seed,
+                                    **config.puf)
+    service = AuthService(FleetRegistry(config.make_registry_backend()), [],
+                          config=config)
+    for die in range(config.n_devices):
+        service.enroll(FleetDevice(f"dev-{die:06d}", family.device(die)))
+    return service
+
+
+def stacked_and_per_die(**knobs):
+    config = FleetConfig(**knobs)
+    return AuthService.provision(config), per_die_service(config)
+
+
 @pytest.fixture(scope="module")
 def fleets():
-    stacked, legacy = (AuthService.provision(FleetConfig(
-        n_devices=FLEET, seed=42, n_spot_crps=12,
-        engine=EngineConfig(stacked=mode), puf=CFG)) for mode in (True, False))
+    stacked, legacy = stacked_and_per_die(
+        n_devices=FLEET, seed=42, n_spot_crps=12, puf=CFG)
     return ((stacked.registry, stacked.device_list, stacked.verifier),
             (legacy.registry, legacy.device_list, legacy.verifier))
 
@@ -104,9 +124,8 @@ class TestStackedRounds:
     def test_spot_check_matches_per_device_path(self):
         # Fresh fleets: spot responses depend on each device's measurement
         # counter, so both sides must start from identical histories.
-        stacked, legacy = (AuthService.provision(FleetConfig(
-            n_devices=FLEET, seed=43, n_spot_crps=12,
-            engine=EngineConfig(stacked=mode), puf=CFG)) for mode in (True, False))
+        stacked, legacy = stacked_and_per_die(
+            n_devices=FLEET, seed=43, n_spot_crps=12, puf=CFG)
         s_dev, s_ver = stacked.device_list, stacked.verifier
         l_dev, l_ver = legacy.device_list, legacy.verifier
         s_spot = s_ver.spot_check(s_dev, k=4)

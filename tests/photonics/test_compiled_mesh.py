@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.photonics.engine import environment_cache_key
+from repro.photonics.engine import environment_cache_key, stacked_ring_scan
 from repro.photonics.mesh import PassiveScrambler, ScramblingMesh
 from repro.photonics.sources import MachZehnderModulator
 from repro.photonics.variation import OpticalEnvironment, VariationModel
@@ -25,6 +25,15 @@ def scrambler(die):
 def random_fields(shape, seed=0):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def ring_inputs(seed=7, shape=(3, 2, 6, 41), delay=5):
+    rng = np.random.default_rng(seed)
+    fields = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeff_shape = (shape[0], 1, shape[2], 1)
+    tau = rng.uniform(0.84, 0.92, coeff_shape).astype(np.complex128)
+    rho = 0.99 * np.exp(-1j * rng.uniform(0, 2 * np.pi, coeff_shape))
+    return fields, tau, rho, tau * rho, delay
 
 
 class TestCompilation:
@@ -176,3 +185,45 @@ class TestBatchedModulator:
         batch = modulator.modulate_batch(carrier, bits)
         for row in range(2):
             assert np.allclose(batch[row], modulator.modulate(carrier, bits[row]))
+
+
+class TestNumpyReference:
+    """The restructured reference is bit-identical to the old algorithm."""
+
+    @staticmethod
+    def legacy_ring_scan(fields, tau, rho, feedback, delay):
+        # The pre-restructure implementation: zero-pad + concatenate,
+        # then the same block-major recurrence.
+        lead = fields.shape[:-1]
+        n_samples = fields.shape[-1]
+        blocks = -(-n_samples // delay)
+        padding = blocks * delay - n_samples
+        x = fields
+        if padding:
+            x = np.concatenate(
+                [x, np.zeros((*lead, padding), dtype=fields.dtype)], axis=-1
+            )
+        u = tau * x
+        u[..., delay:] -= rho * x[..., :-delay]
+        w = np.ascontiguousarray(
+            np.moveaxis(u.reshape(*lead, blocks, delay), -2, 0)
+        )
+        for k in range(1, blocks):
+            w[k] += feedback * w[k - 1]
+        out = np.moveaxis(w, 0, -2).reshape(*lead, blocks * delay)
+        return out[..., :n_samples] if padding else out
+
+    @pytest.mark.parametrize("n_samples", [1, 3, 5, 40, 41, 64, 259])
+    def test_bit_identical_to_legacy(self, n_samples):
+        fields, tau, rho, feedback, delay = ring_inputs(
+            shape=(3, 2, 6, n_samples)
+        )
+        new = stacked_ring_scan(fields, tau, rho, feedback, delay)
+        old = self.legacy_ring_scan(fields, tau, rho, feedback, delay)
+        assert np.array_equal(new, old)
+
+    def test_does_not_mutate_input(self):
+        fields, tau, rho, feedback, delay = ring_inputs()
+        before = fields.copy()
+        stacked_ring_scan(fields, tau, rho, feedback, delay)
+        assert np.array_equal(fields, before)

@@ -65,7 +65,7 @@ def reference_power_at(fleet, waves, samples, launch, dies=None):
     Left-pads each drive so every lag index is in range, then gathers
     every die's ``(S, batch*T)`` lag matrix at once — column ``(b, j)``
     is drive ``b`` reversed around sample ``t_j`` — and runs the same
-    backend GEMM on the fleet's cached taps (pinned to
+    two real GEMMs on the fleet's cached taps (pinned to
     :func:`eager_kernel` by ``TestSpectraOnDemand``), tiled over dies by
     the module's original tile budget.  The satellite micro-bench times
     the readout against this copy.
@@ -77,7 +77,6 @@ def reference_power_at(fleet, waves, samples, launch, dies=None):
     n_sel, batch, n_samples = waves.shape
     h_real, h_imag = fleet.impulse_response(launch, n_samples)
     h_real, h_imag = h_real[indices], h_imag[indices]
-    backend = fleet.compute_backend()
     n_sel_samples = samples.size
     lag_index = (samples[np.newaxis, :] + (n_samples - 1)
                  - np.arange(n_samples)[:, np.newaxis])
@@ -94,7 +93,9 @@ def reference_power_at(fleet, waves, samples, launch, dies=None):
             axis=-1,
         )
         lag = padded[:, batch_index, sample_index]
-        power = backend.kernel_gemm(h_real[f0:f1], h_imag[f0:f1], lag)
+        y_real = np.matmul(h_real[f0:f1], lag)
+        y_imag = np.matmul(h_imag[f0:f1], lag)
+        power = y_real * y_real + y_imag * y_imag
         out[f0:f1] = power.reshape(
             f1 - f0, fleet.n_channels, batch, n_sel_samples
         ).transpose(0, 2, 1, 3)
@@ -343,9 +344,9 @@ class TestSpectraOnDemand:
         __, __, built, built_length = fresh.response_kernel(4, 60)
         assert built_length == length
         assert np.array_equal(built, spectra)
-        eager = fleet.compute_backend().batched_fft_convolve(
-            spectra, waves, length, 60
-        )
+        product = (spectra[:, np.newaxis]
+                   * np.fft.fft(waves, n=length, axis=-1)[:, :, np.newaxis])
+        eager = np.fft.ifft(product, axis=-1)[..., :60]
         assert np.array_equal(out, eager)
         assert fresh.memory_footprint_bytes() == served + built.nbytes
 

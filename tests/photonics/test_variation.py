@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.photonics.variation import (
-    DieVariation,
     OpticalEnvironment,
     VariationModel,
     environment_sweep,

@@ -1,23 +1,26 @@
 """AuthService verbs, declarative configs, policies, persistence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.fleet import FaultModel, FleetDevice, FleetSimulator
 from repro.obs import instrument_service, parse_prometheus, render_prometheus
 from repro.protocols.mutual_auth import AuthenticationFailure, FailureKind
-from repro.puf.photonic_strong import PhotonicStrongPUF
+from repro.puf.photonic_strong import PhotonicStrongPUF, photonic_strong_family
 from repro.service import (
     AuditLogPolicy,
     AuthService,
-    EngineConfig,
     FleetConfig,
     RateLimitPolicy,
     RetryPolicy,
     decode_message,
 )
+from repro.utils.serialization import load_state
 
 FAST_PUF = dict(challenge_bits=32, n_stages=4, response_bits=16)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def build(n=3, seed=5, policies=(), clock=None, **overrides):
@@ -41,14 +44,11 @@ class TestConfigs:
         with pytest.raises(ValueError):
             FleetConfig(n_devices=1, clock_tolerance=1.0)
         with pytest.raises(TypeError):
-            FleetConfig(n_devices=1, engine="stacked")
-        with pytest.raises(TypeError):
             FleetConfig(n_devices=1, fault_model={"request_drop": 0.1})
 
     def test_state_round_trip(self):
         config = FleetConfig(
             n_devices=7, seed=9, n_spot_crps=16, clock_tolerance=0.04,
-            engine=EngineConfig(stacked=False),
             latency_budget_s=0.25, max_batch=32,
             fault_model=FaultModel(confirmation_drop=0.2, max_retries=4),
             snapshot_path="/tmp/svc", puf=dict(FAST_PUF),
@@ -79,14 +79,38 @@ class TestConfigs:
         for workers in (None, 2):
             state = {"backend": "numpy", "shard_workers": workers,
                      "stacked": True}
-            assert EngineConfig.from_state(state) == EngineConfig(
-                stacked=True, backend="numpy")
             fleet_state = FleetConfig(n_devices=2).to_state()
             fleet_state["engine"] = state
-            assert FleetConfig.from_state(fleet_state).engine == \
-                EngineConfig()
-        with pytest.raises(ValueError, match="shard_wrokers"):
-            EngineConfig.from_state({"stacked": True, "shard_wrokers": 2})
+            assert FleetConfig.from_state(fleet_state) == \
+                FleetConfig(n_devices=2)
+
+    @pytest.mark.parametrize("engine", [
+        {"stacked": True, "backend": "numpy"},
+        {"stacked": True, "backend": "numba"},
+        {"stacked": False, "backend": "numpy"},
+        {},
+    ], ids=["numpy", "numba", "per-die", "empty"])
+    def test_legacy_engine_states_load(self, engine):
+        # Archives written before 0.11.0 carry an "engine" block; every
+        # value computed the same bits, so the block is dropped whole.
+        config = FleetConfig(n_devices=3, seed=4, n_spot_crps=2)
+        state = config.to_state()
+        assert "engine" not in state
+        state["engine"] = engine
+        assert FleetConfig.from_state(state) == config
+
+    def test_misspelt_key_beside_legacy_engine_still_raises(self):
+        state = FleetConfig(n_devices=2).to_state()
+        state["engine"] = {"stacked": True, "backend": "numpy"}
+        state["engnie"] = {"stacked": True}
+        with pytest.raises(ValueError, match="engnie"):
+            FleetConfig.from_state(state)
+
+    def test_fleet_config_rejects_unknown_fields(self):
+        state = FleetConfig(n_devices=2).to_state()
+        state["n_devcies"] = 4
+        with pytest.raises(ValueError, match="unknown fleet config"):
+            FleetConfig.from_state(state)
 
 
 class TestVerbs:
@@ -127,6 +151,22 @@ class TestVerbs:
         service = build(n=3, n_spot_crps=12)
         report = service.spot_check(k=4)
         assert report.n_accepted == 3
+
+    def test_spot_check_of_no_devices_is_empty(self):
+        # Regression: an empty device list used to raise numpy's bare
+        # "need at least one array to stack"; authenticate_batch already
+        # answered the same case with an empty report.
+        service = build(n=2, n_spot_crps=8)
+        counter = service.verifier._nonce_counter
+        for device_id in service.device_ids():
+            service.revoke(device_id)
+        for report in (service.spot_check(), service.spot_check([])):
+            assert report.device_ids == []
+            assert report.fractional_hd.shape == (0,)
+            assert report.accepted.shape == (0,)
+            assert report.n_accepted == 0
+        assert service.authenticate_batch().n_accepted == 0
+        assert service.verifier._nonce_counter == counter
 
     def test_staged_submit_flush(self):
         now = [0.0]
@@ -298,6 +338,29 @@ class TestPersistence:
         assert "dev-late" not in service
         report = service.authenticate_batch()
         assert report.n_accepted == 2 and not report.failures
+
+    def test_archive_with_engine_block_loads_and_serves(self):
+        # Saved by AuthService.save at 0.10.0: 4 devices, seed 61, six
+        # spot CRPs, FAST_PUF, one round, on the numba-requesting engine
+        # config of that release.
+        path = str(FIXTURES / "archive_v0_10_engine.npz")
+        manifest, __ = load_state(path)
+        assert manifest["config"]["engine"] == {"stacked": True,
+                                                "backend": "numba"}
+        family = photonic_strong_family(4, seed=61, **FAST_PUF)
+        devices = [
+            FleetDevice.from_state(
+                state, family.device(int(state["device_id"][4:])))
+            for state in manifest["device_states"]
+        ]
+        service = AuthService.load(path, devices)
+        assert service.config == FleetConfig(
+            n_devices=4, seed=61, n_spot_crps=6, puf=FAST_PUF)
+        for device in devices:
+            assert service.registry.record(device.device_id).sessions == 1
+        report = service.authenticate_batch()
+        assert report.n_accepted == 4 and not report.failures
+        assert service.spot_check(k=2).n_accepted == 4
 
     def test_save_uses_config_snapshot_path(self, tmp_path):
         service = build(n=1, seed=43,

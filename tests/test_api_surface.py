@@ -1,8 +1,8 @@
 """Public-API surface snapshot.
 
 The exported names of ``repro``, ``repro.fleet.storage``,
-``repro.photonics.backend``, ``repro.service``, ``repro.service.net``,
-and ``repro.service.ha`` — plus the :class:`FailureKind` taxonomy —
+``repro.obs``, ``repro.service``, ``repro.service.net``, and
+``repro.service.ha`` — plus the :class:`FailureKind` taxonomy —
 are pinned against the checked-in manifest ``tests/api_surface.json``.
 Any drift — a new export, a removal, a rename — fails here until the
 manifest is updated in the same change, so surface changes are always
@@ -25,7 +25,6 @@ import pytest
 import repro
 import repro.fleet.storage
 import repro.obs
-import repro.photonics.backend
 import repro.service
 import repro.service.ha
 import repro.service.net
@@ -38,7 +37,6 @@ SURFACE_MODULES = {
     "repro": repro,
     "repro.fleet.storage": repro.fleet.storage,
     "repro.obs": repro.obs,
-    "repro.photonics.backend": repro.photonics.backend,
     "repro.service": repro.service,
     "repro.service.ha": repro.service.ha,
     "repro.service.net": repro.service.net,

@@ -17,7 +17,6 @@ from repro.protocols import (
     KeyVault,
     NetworkOwner,
     SecureAccelerator,
-    ServiceError,
     establish_session,
     provision,
     run_session,
