@@ -22,11 +22,20 @@ _INITIAL_STATES = hmac_key_states(b"\x00" * 32)
 
 
 class HmacDrbg:
-    """HMAC-SHA256 DRBG, instantiated from a seed byte string."""
+    """HMAC-SHA256 DRBG, instantiated from a seed byte string.
+
+    The state update that closes each :meth:`generate` (SP 800-90A,
+    10.1.2.5 step 6) runs at the start of the next :meth:`generate` or
+    :meth:`reseed`, the only calls that read its result, so a generator
+    used once (``c_{i+1} = RNG(r_i)``) never computes it.  The output
+    stream is the standard's, byte for byte; a generator kept between
+    calls holds its last output block until that next call.
+    """
 
     def __init__(self, seed: bytes, personalization: bytes = b""):
         self._states = _INITIAL_STATES  # the HMAC states of key K
         self._value = b"\x01" * 32
+        self._owed = False  # the last generate's closing update
         self._update(seed + personalization)
 
     def _update(self, provided: bytes = b"") -> None:
@@ -42,16 +51,24 @@ class HmacDrbg:
         """Next ``n_bytes`` of the stream."""
         if n_bytes < 0:
             raise ValueError("n_bytes must be non-negative")
+        self._settle()
         output = b""
         while len(output) < n_bytes:
             self._value = hmac_with_states(self._states, self._value)
             output += self._value
-        self._update()
+        self._owed = True
         return output[:n_bytes]
 
     def reseed(self, entropy: bytes) -> None:
         """Mix fresh entropy into the state."""
+        self._settle()
         self._update(entropy)
+
+    def _settle(self) -> None:
+        """Run the closing update a previous :meth:`generate` owes."""
+        if self._owed:
+            self._owed = False
+            self._update()
 
     def randint_below(self, bound: int) -> int:
         """Uniform integer in [0, bound) via rejection sampling."""

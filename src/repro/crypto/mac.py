@@ -14,12 +14,16 @@ for fleet-scale workloads (hundreds of thousands of MACs per campaign):
 * the SHA-256 digest states of both padded keys are cached per key and
   ``copy()``-ed per MAC, so repeated MACs under one session key (every
   rolling-CRP session computes several) never re-absorb the key block.
+
+Tag checks use the stdlib's constant-time :func:`hmac.compare_digest`:
+only the comparison comes from ``hmac``, never the construction.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from hmac import compare_digest
 
 _BLOCK_SIZE = 64  # SHA-256 block size in bytes
 _IPAD_INT = int.from_bytes(bytes([0x36]) * _BLOCK_SIZE, "big")
@@ -80,14 +84,8 @@ def mac(data: bytes, key: bytes) -> bytes:
 
 
 def verify_mac(data: bytes, key: bytes, tag: bytes) -> bool:
-    """Constant-time tag comparison."""
-    expected = mac(data, key)
-    if len(expected) != len(tag):
-        return False
-    result = 0
-    for x, y in zip(expected, tag):
-        result |= x ^ y
-    return result == 0
+    """Constant-time tag comparison (:func:`hmac.compare_digest`)."""
+    return compare_digest(mac(data, key), tag)
 
 
 def mac_batch(messages, keys) -> list:
@@ -111,23 +109,15 @@ def verify_mac_batch(messages, keys, tags) -> list:
     """Constant-time verification of a whole round of MACs.
 
     Returns one bool per ``(data, key, tag)`` triple; each comparison is
-    the same constant-time scan :func:`verify_mac` performs.
+    the same constant-time :func:`hmac.compare_digest` that
+    :func:`verify_mac` makes.
     """
     if not len(messages) == len(keys) == len(tags):
         raise ValueError(
             f"got {len(messages)} messages, {len(keys)} keys, "
             f"{len(tags)} tags"
         )
-    results = []
-    for expected, tag in zip(mac_batch(messages, keys), tags):
-        if len(expected) != len(tag):
-            results.append(False)
-            continue
-        result = 0
-        for x, y in zip(expected, bytes(tag)):
-            result |= x ^ y
-        results.append(result == 0)
-    return results
+    return list(map(compare_digest, mac_batch(messages, keys), tags))
 
 
 def sha256(data: bytes) -> bytes:

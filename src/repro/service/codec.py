@@ -45,6 +45,13 @@ Wire format history
   (``unsupported-version``), and every 1.1 frame still encodes and
   decodes byte-identically under 1.2.
 
+The codec is table-driven: ``encode_message`` looks up each message
+class's prebuilt 5-byte header and field builder, and
+``decode_message`` looks up each type byte's field count and message
+builder, then parses the payload in place.  The tables are an
+implementation detail: the frames are exactly those the history above
+defines.
+
 Version negotiation rules (see :func:`negotiate_version`):
 
 1. The first frame on a connection is the client's
@@ -70,11 +77,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import List, Mapping, Tuple, Union
+from typing import Mapping, Tuple, Union
 
 from repro.fleet.verifier import AuthResponse, BatchAuthReport
 from repro.protocols.mutual_auth import AuthenticationFailure, FailureKind
-from repro.utils.serialization import decode_fields, encode_fields
+from repro.utils.serialization import _decode_from, _pack_length
 
 MAGIC = b"RW"  # "repro wire"
 SCHEMA_MAJOR = 1
@@ -211,84 +218,88 @@ def _version_byte(value: int, label: str) -> bytes:
     return bytes([int(value)])
 
 
-def _frame(wire_type: WireType, fields: List[bytes]) -> bytes:
-    header = _HEADER.pack(MAGIC, SCHEMA_MAJOR, SCHEMA_MINOR, int(wire_type))
-    return header + encode_fields(fields)
+def _header(wire_type: WireType) -> bytes:
+    return _HEADER.pack(MAGIC, SCHEMA_MAJOR, SCHEMA_MINOR, wire_type)
 
 
-def _flatten(pairs: dict) -> List[bytes]:
-    """Deterministic (sorted) flat field list of a string-keyed dict."""
-    flat: List[bytes] = []
+def _encode_map(pairs) -> bytes:
+    """:func:`encode_fields` of a string-keyed dict, flattened in sorted
+    key order; values that are not bytes travel as their UTF-8 text."""
+    parts = []
     for key in sorted(pairs):
         value = pairs[key]
-        flat.append(key.encode("utf-8"))
-        flat.append(value if isinstance(value, (bytes, bytearray))
-                    else str(value).encode("utf-8"))
-    return flat
+        key = key.encode("utf-8")
+        if not isinstance(value, (bytes, bytearray)):
+            value = str(value).encode("utf-8")
+        parts += (_pack_length(len(key)), key, _pack_length(len(value)),
+                  value)
+    return b"".join(parts)
 
 
 def _unflatten(blob: bytes, *, text_values: bool) -> dict:
-    fields = decode_fields(blob)
+    """Inverse of :func:`_encode_map` (``blob`` is a decoded field)."""
+    fields = _decode_from(blob, 0)
     if len(fields) % 2:
         raise CodecError(
             f"report section holds {len(fields)} fields, expected pairs"
         )
-    out = {}
-    for index in range(0, len(fields), 2):
-        key = fields[index].decode("utf-8")
-        value = fields[index + 1]
-        out[key] = value.decode("utf-8") if text_values else bytes(value)
-    return out
+    values = fields[1::2]
+    return dict(zip(map(bytes.decode, fields[0::2]),
+                    map(bytes.decode, values) if text_values else values))
+
+
+def _report_fields(report: BatchAuthReport) -> tuple:
+    return (_encode_map(report.confirmations), _encode_map(report.failures),
+            _encode_map(report.failure_kinds))
+
+
+def _version_fields(message) -> tuple:
+    return (message.peer.encode("utf-8"),
+            _version_byte(message.major, "major"),
+            _version_byte(message.minor, "minor"))
+
+
+#: Message class -> (its frame header, the payload fields of a message).
+_ENCODERS = {
+    AuthChallenge: (_header(WireType.CHALLENGE), lambda message: (
+        message.device_id.encode("utf-8"), bytes(message.nonce))),
+    AuthResponse: (_header(WireType.RESPONSE), lambda message: (
+        message.device_id.encode("utf-8"), bytes(message.body),
+        bytes(message.tag))),
+    AuthConfirmation: (_header(WireType.CONFIRMATION), lambda message: (
+        message.device_id.encode("utf-8"), bytes(message.mac))),
+    BatchAuthReport: (_header(WireType.REPORT), _report_fields),
+    SessionHello: (_header(WireType.HELLO), _version_fields),
+    SessionWelcome: (_header(WireType.WELCOME), _version_fields),
+    SessionReject: (_header(WireType.REJECT), lambda message: (
+        message.kind.encode("utf-8"), message.reason.encode("utf-8"))),
+    SessionRequest: (_header(WireType.REQUEST), lambda message: (
+        message.verb.encode("utf-8"), message.device_id.encode("utf-8"),
+        _encode_map(dict(message.params)))),
+    SessionResult: (_header(WireType.RESULT), lambda message: (
+        message.verb.encode("utf-8"), message.device_id.encode("utf-8"),
+        b"\x01" if message.ok else b"\x00",
+        _encode_map(dict(message.detail)))),
+}
 
 
 def encode_message(message: WireMessage) -> bytes:
     """Serialize one protocol message to a self-describing wire frame."""
-    if isinstance(message, AuthChallenge):
-        return _frame(WireType.CHALLENGE,
-                      [message.device_id.encode("utf-8"),
-                       bytes(message.nonce)])
-    if isinstance(message, AuthResponse):
-        return _frame(WireType.RESPONSE,
-                      [message.device_id.encode("utf-8"),
-                       bytes(message.body), bytes(message.tag)])
-    if isinstance(message, AuthConfirmation):
-        return _frame(WireType.CONFIRMATION,
-                      [message.device_id.encode("utf-8"),
-                       bytes(message.mac)])
-    if isinstance(message, BatchAuthReport):
-        return _frame(WireType.REPORT, [
-            encode_fields(_flatten(message.confirmations)),
-            encode_fields(_flatten(message.failures)),
-            encode_fields(_flatten(message.failure_kinds)),
-        ])
-    if isinstance(message, SessionHello):
-        return _frame(WireType.HELLO,
-                      [message.peer.encode("utf-8"),
-                       _version_byte(message.major, "major"),
-                       _version_byte(message.minor, "minor")])
-    if isinstance(message, SessionWelcome):
-        return _frame(WireType.WELCOME,
-                      [message.peer.encode("utf-8"),
-                       _version_byte(message.major, "major"),
-                       _version_byte(message.minor, "minor")])
-    if isinstance(message, SessionReject):
-        return _frame(WireType.REJECT,
-                      [message.kind.encode("utf-8"),
-                       message.reason.encode("utf-8")])
-    if isinstance(message, SessionRequest):
-        return _frame(WireType.REQUEST,
-                      [message.verb.encode("utf-8"),
-                       message.device_id.encode("utf-8"),
-                       encode_fields(_flatten(dict(message.params)))])
-    if isinstance(message, SessionResult):
-        return _frame(WireType.RESULT,
-                      [message.verb.encode("utf-8"),
-                       message.device_id.encode("utf-8"),
-                       b"\x01" if message.ok else b"\x00",
-                       encode_fields(_flatten(dict(message.detail)))])
-    raise TypeError(
-        f"not a wire message: {type(message).__name__}"
-    )
+    encoder = _ENCODERS.get(type(message))
+    if encoder is None:
+        # A subclass frames as the message class it derives from.
+        encoder = next((_ENCODERS[cls] for cls in type(message).__mro__
+                        if cls in _ENCODERS), None)
+        if encoder is None:
+            raise TypeError(
+                f"not a wire message: {type(message).__name__}"
+            )
+    header, fields = encoder
+    parts = [header]
+    for value in fields(message):
+        parts.append(_pack_length(len(value)))
+        parts.append(value)
+    return b"".join(parts)
 
 
 def peek_header(data: bytes) -> Tuple[int, int, int]:
@@ -303,6 +314,52 @@ def peek_header(data: bytes) -> Tuple[int, int, int]:
     return major, minor, wire_type
 
 
+def _decode_version(cls):
+    def build(peer: bytes, major: bytes, minor: bytes):
+        if len(major) != 1 or len(minor) != 1:
+            raise ValueError("version fields must be single bytes")
+        return cls(peer.decode("utf-8"), major[0], minor[0])
+    return build
+
+
+def _decode_result(verb: bytes, device_id: bytes, ok: bytes,
+                   detail: bytes) -> SessionResult:
+    if ok not in (b"\x00", b"\x01"):
+        raise ValueError(f"RESULT ok flag must be 0/1, got {ok!r}")
+    return SessionResult(verb.decode("utf-8"), device_id.decode("utf-8"),
+                         ok == b"\x01", _unflatten(detail, text_values=False))
+
+
+def _decode_report(confirmations: bytes, failures: bytes,
+                   kinds: bytes) -> BatchAuthReport:
+    return BatchAuthReport(
+        confirmations=_unflatten(confirmations, text_values=False),
+        failures=_unflatten(failures, text_values=True),
+        failure_kinds=_unflatten(kinds, text_values=True),
+    )
+
+
+#: Type byte -> (wire type, payload field count, message builder).
+_DECODERS = {int(wire_type): (wire_type, n_fields, build)
+             for wire_type, n_fields, build in (
+    (WireType.CHALLENGE, 2, lambda device_id, nonce: AuthChallenge(
+        device_id.decode("utf-8"), nonce)),
+    (WireType.RESPONSE, 3, lambda device_id, body, tag: AuthResponse(
+        device_id.decode("utf-8"), body, tag)),
+    (WireType.CONFIRMATION, 2, lambda device_id, mac: AuthConfirmation(
+        device_id.decode("utf-8"), mac)),
+    (WireType.REPORT, 3, _decode_report),
+    (WireType.HELLO, 3, _decode_version(SessionHello)),
+    (WireType.WELCOME, 3, _decode_version(SessionWelcome)),
+    (WireType.REJECT, 2, lambda kind, reason: SessionReject(
+        kind.decode("utf-8"), reason.decode("utf-8"))),
+    (WireType.REQUEST, 3, lambda verb, device_id, params: SessionRequest(
+        verb.decode("utf-8"), device_id.decode("utf-8"),
+        _unflatten(params, text_values=False))),
+    (WireType.RESULT, 4, _decode_result),
+)}
+
+
 def decode_message(data: bytes) -> WireMessage:
     """Inverse of :func:`encode_message`; raises :class:`CodecError`.
 
@@ -312,69 +369,30 @@ def decode_message(data: bytes) -> WireMessage:
     frame, unknown message type, wrong field count, non-UTF-8 device
     ids — raises with ``FailureKind.MALFORMED``.
     """
-    major, minor, wire_type = peek_header(data)
+    major, minor, type_byte = peek_header(data)
     if major != SCHEMA_MAJOR:
         raise CodecError(
             f"unsupported schema major version {major} "
             f"(this codec reads {SCHEMA_MAJOR}.x)",
             FailureKind.UNSUPPORTED_VERSION,
         )
+    decoder = _DECODERS.get(type_byte)
+    if decoder is None:
+        raise CodecError(f"unknown message type {type_byte}")
+    wire_type, n_fields, build = decoder
+    if type(data) is not bytes:
+        data = memoryview(data).tobytes()
     try:
-        wire_type = WireType(wire_type)
-    except ValueError:
-        raise CodecError(f"unknown message type {wire_type}") from None
-    try:
-        fields = decode_fields(data[_HEADER.size:])
+        fields = _decode_from(data, _HEADER.size)
     except ValueError as exc:
         raise CodecError(f"malformed payload: {exc}") from exc
+    if len(fields) != n_fields:
+        raise CodecError(f"malformed {wire_type.name} payload: "
+                         f"{len(fields)} fields, expected {n_fields}")
     try:
-        if wire_type is WireType.CHALLENGE:
-            device_id, nonce = fields
-            return AuthChallenge(device_id.decode("utf-8"), nonce)
-        if wire_type is WireType.RESPONSE:
-            device_id, body, tag = fields
-            return AuthResponse(device_id.decode("utf-8"), body, tag)
-        if wire_type is WireType.CONFIRMATION:
-            device_id, mac = fields
-            return AuthConfirmation(device_id.decode("utf-8"), mac)
-        if wire_type in (WireType.HELLO, WireType.WELCOME):
-            peer, major, minor = fields
-            if len(major) != 1 or len(minor) != 1:
-                raise ValueError("version fields must be single bytes")
-            cls = SessionHello if wire_type is WireType.HELLO \
-                else SessionWelcome
-            return cls(peer.decode("utf-8"), major[0], minor[0])
-        if wire_type is WireType.REJECT:
-            kind, reason = fields
-            return SessionReject(kind.decode("utf-8"),
-                                 reason.decode("utf-8"))
-        if wire_type is WireType.REQUEST:
-            verb, device_id, params = fields
-            return SessionRequest(verb.decode("utf-8"),
-                                  device_id.decode("utf-8"),
-                                  _unflatten(params, text_values=False))
-        if wire_type is WireType.RESULT:
-            verb, device_id, ok, detail = fields
-            if ok not in (b"\x00", b"\x01"):
-                raise ValueError(f"RESULT ok flag must be 0/1, got {ok!r}")
-            return SessionResult(verb.decode("utf-8"),
-                                 device_id.decode("utf-8"),
-                                 ok == b"\x01",
-                                 _unflatten(detail, text_values=False))
-        confirmations, failures, kinds = fields
-        return BatchAuthReport(
-            confirmations=_unflatten(confirmations, text_values=False),
-            failures=_unflatten(failures, text_values=True),
-            failure_kinds=_unflatten(kinds, text_values=True),
-        )
-    except CodecError:
-        raise
+        return build(*fields)
     except ValueError as exc:
-        # Wrong field count for the type, or a non-UTF-8 device id.
-        raise CodecError(
-            f"malformed {wire_type.name} payload: {exc}"
-        ) from exc
-    except UnicodeDecodeError as exc:
+        # A non-UTF-8 text field, or a field value out of range.
         raise CodecError(
             f"malformed {wire_type.name} payload: {exc}"
         ) from exc

@@ -400,20 +400,24 @@ class AuthService:
         }
         return nonces, frames
 
-    def verify_round_wire(self, frames: Sequence[bytes],
+    def verify_round_wire(self,
+                          frames: Sequence[Union[bytes, AuthResponse]],
                           nonces: Dict[str, bytes],
                           ) -> Tuple[bytes, Dict[str, bytes]]:
         """Verify codec-framed device responses; emit framed replies.
 
         Returns ``(report frame, {device_id: confirmation frame})``.
-        Frames that fail to decode as a
-        :class:`~repro.fleet.verifier.AuthResponse` raise
+        Each of ``frames`` is a RESPONSE frame or the
+        :class:`~repro.fleet.verifier.AuthResponse` a transport already
+        decoded from one, so no frame is decoded twice.  Frames that
+        fail to decode as an ``AuthResponse`` raise
         :class:`~repro.service.codec.CodecError` — a transport must not
         hand the protocol undecodable bytes.
         """
         messages: List[AuthResponse] = []
         for frame in frames:
-            message = decode_message(frame)
+            message = frame if isinstance(frame, AuthResponse) \
+                else decode_message(frame)
             if not isinstance(message, AuthResponse):
                 raise CodecError(
                     f"expected a RESPONSE frame, got "

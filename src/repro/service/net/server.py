@@ -269,13 +269,15 @@ class _WireRound:
         self.order = [device_id for __, device_id in entries]
         self.conn_of = {device_id: conn for conn, device_id in entries}
         self.nonces: Dict[str, bytes] = {}
-        self.responses: Dict[str, bytes] = {}   # arrival order (dict)
+        # Decoded RESPONSEs, in arrival order (dict).
+        self.responses: Dict[str, AuthResponse] = {}
         self.outstanding: Set[str] = set(self.order)
         self.complete = asyncio.Event()
 
-    def deliver(self, device_id: str, frame: bytes) -> None:
+    def deliver(self, response: AuthResponse) -> None:
+        device_id = response.device_id
         if device_id in self.outstanding:
-            self.responses[device_id] = frame
+            self.responses[device_id] = response
             self.lose(device_id)
 
     def lose(self, device_id: str) -> None:
@@ -289,7 +291,7 @@ class _ExplicitRound:
 
     def __init__(self, nonces: Dict[str, bytes]):
         self.nonces = nonces
-        self.frames: List[bytes] = []    # raw RESPONSE frames, in order
+        self.responses: List[AuthResponse] = []   # decoded, in order
         # A hostile gateway may stuff unboundedly many frames into one
         # round; past this the connection is rejected, not the round.
         self.max_frames = max(64, 4 * len(nonces))
@@ -528,10 +530,8 @@ class AuthServer:
                                        self.config.response_timeout_s)
             except asyncio.TimeoutError:
                 self.metrics.responses_timed_out += len(round_.outstanding)
-        answered = list(round_.responses)           # arrival order
-        frames = [round_.responses[d] for d in answered]
         report_frame, confirmation_frames = self.service.verify_round_wire(
-            frames, nonces)
+            list(round_.responses.values()), nonces)
         report = decode_message(report_frame)
         for conn, device_id in live:
             self._drop_route(conn, device_id, round_)
@@ -729,7 +729,7 @@ class AuthServer:
             return False
         if isinstance(message, AuthResponse):
             try:
-                self._route_response(conn, message.device_id, frame)
+                self._route_response(conn, message)
             except CodecError as failure:
                 await self._reject(conn, failure.kind, str(failure))
                 return False
@@ -751,18 +751,18 @@ class AuthServer:
                            f"unexpected {type(message).__name__} frame")
         return False
 
-    def _route_response(self, conn: _Connection, device_id: str,
-                        frame: bytes) -> None:
-        # The received frame goes to the round as is: verify_round_wire
-        # decodes it there.
+    def _route_response(self, conn: _Connection,
+                        response: AuthResponse) -> None:
+        # The round gets the RESPONSE decoded, as _dispatch left it:
+        # verify_round_wire takes it without decoding the frame again.
         if conn.explicit is not None:
-            if len(conn.explicit.frames) >= conn.explicit.max_frames:
+            if len(conn.explicit.responses) >= conn.explicit.max_frames:
                 raise CodecError("explicit round overflow")
-            conn.explicit.frames.append(frame)
+            conn.explicit.responses.append(response)
             return
-        queue = conn.routes.get(device_id)
+        queue = conn.routes.get(response.device_id)
         if queue:
-            queue[0].deliver(device_id, frame)
+            queue[0].deliver(response)
         # else: unsolicited — drop silently; it must not poison anything.
 
     async def _handle_request(self, conn: _Connection,
@@ -870,7 +870,7 @@ class AuthServer:
                     FailureKind.NO_SESSION)
             conn.explicit = None
             report_frame, confirmation_frames = \
-                self.service.verify_round_wire(explicit.frames,
+                self.service.verify_round_wire(explicit.responses,
                                                explicit.nonces)
             for accepted_id in confirmation_frames:
                 # Expose and await the ack before the frames are written,

@@ -21,6 +21,8 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 _LENGTH = struct.Struct(">I")
+_pack_length = _LENGTH.pack
+_unpack_length = _LENGTH.unpack_from
 
 #: Reserved array key carrying the JSON manifest inside a state archive.
 MANIFEST_KEY = "manifest_json"
@@ -52,25 +54,29 @@ def encode_fields(fields: Sequence[bytes]) -> bytes:
     for field in fields:
         if not isinstance(field, (bytes, bytearray)):
             raise TypeError(f"fields must be bytes, got {type(field).__name__}")
-        parts.append(_LENGTH.pack(len(field)))
-        parts.append(bytes(field))
+        parts += (_pack_length(len(field)), field)
     return b"".join(parts)
 
 
 def decode_fields(data: bytes) -> List[bytes]:
     """Inverse of :func:`encode_fields`; raises ``ValueError`` on malformed input."""
+    return _decode_from(
+        data if type(data) is bytes else memoryview(data).tobytes(), 0)
+
+
+def _decode_from(data: bytes, offset: int) -> List[bytes]:
+    """:func:`decode_fields` of ``data[offset:]``, parsed in place."""
     fields = []
-    offset = 0
-    view = memoryview(data)
-    while offset < len(view):
-        if offset + _LENGTH.size > len(view):
+    end = len(data)
+    while offset < end:
+        start = offset + 4
+        if start > end:
             raise ValueError("truncated length prefix")
-        (length,) = _LENGTH.unpack_from(view, offset)
-        offset += _LENGTH.size
-        if offset + length > len(view):
+        stop = start + _unpack_length(data, offset)[0]
+        if stop > end:
             raise ValueError("truncated field body")
-        fields.append(bytes(view[offset:offset + length]))
-        offset += length
+        fields.append(data[start:stop])
+        offset = stop
     return fields
 
 
