@@ -7,9 +7,10 @@ verifier restarts.  This example provisions the fleet through one declarative
 :class:`repro.service.FleetConfig`, then drives a multi-round campaign
 through the :class:`repro.fleet.FleetSimulator` — *just another client
 of the AuthService facade* — under all of them at once, crashes the
-verifier mid-campaign (persisting the registry to an ``.npz`` snapshot
+verifier mid-campaign (persisting the service to an ``.npz`` snapshot
 and restoring from it), and shows the invariant that makes the scheme
-production-viable: zero desynchronized devices at the end.
+production-viable: zero desynchronized devices at the end, and a
+service that goes on accepting every live device.
 
 Run:  python examples/fleet_lifecycle.py
 """
@@ -77,6 +78,13 @@ def main() -> None:
     assert not stranded, stranded
     print("two-phase commit held: every device still shares its rolling "
           "CRP with the registry")
+
+    print("\n=== the service keeps serving ===")
+    report = service.authenticate_batch()
+    print(f"one service round after the campaign: {report.n_accepted}/"
+          f"{len(service)} live devices accepted")
+    assert report.n_accepted == len(service) and not report.failures, \
+        report.failures
 
 
 if __name__ == "__main__":

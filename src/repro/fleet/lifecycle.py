@@ -24,8 +24,13 @@ Building blocks
   :class:`~repro.protocols.mutual_auth.FailureKind` taxonomy;
 * :meth:`FleetSimulator.snapshot` / :meth:`FleetSimulator.restore` — a
   verifier crash/restart: registry and nonce counter come back from the
-  persisted state (see :meth:`repro.fleet.registry.FleetRegistry.save`),
-  in-flight sessions are lost, and devices recover by plain retry.
+  persisted state, in-flight sessions are lost, and devices recover by
+  plain retry.
+
+The simulator owns no verifier state: it drives one
+:class:`repro.service.AuthService` (``FleetSimulator(service, ...)`` or
+``service.simulator(...)``), and every round, churn event and restore
+goes through that service's registry, verifier and roster.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ import numpy as np
 
 from repro.fleet.registry import FleetRegistry
 from repro.fleet.rounds import respond_round
-from repro.fleet.storage.base import adopt_scratch
 from repro.fleet.verifier import (
     AuthResponse,
     BatchAuthReport,
@@ -49,7 +53,7 @@ from repro.fleet.verifier import (
 from repro.protocols.mutual_auth import AuthenticationFailure
 from repro.puf.photonic_strong import PhotonicStrongPUF
 from repro.utils.rng import derive_rng
-from repro.utils.serialization import load_state, save_state
+from repro.utils.serialization import load_state
 
 
 @dataclass
@@ -288,95 +292,76 @@ class FleetSimulator:
     confirmation delivery, and the finalize/abort decision per device —
     retrying transiently-failed devices within the round up to the fault
     model's budget.  Campaign statistics accumulate in :attr:`stats`.
+
+    ``service`` is an :class:`repro.service.AuthService` (duck-typed, so
+    this module never imports :mod:`repro.service`).  It owns the
+    registry, verifier and roster; churn goes through its ``enroll`` /
+    ``revoke`` and a crash through its ``snapshot`` / ``save`` /
+    ``restore``.  The simulator keeps only its RNG (seeded from
+    ``service.config.seed``), statistics, wiretap and sorted roster.
     """
 
     def __init__(
         self,
-        registry: FleetRegistry,
-        devices: Sequence[FleetDevice],
-        verifier: Optional[BatchVerifier] = None,
+        service,
+        *,
         faults: Optional[FaultModel] = None,
         adversaries: Sequence[Adversary] = (),
-        seed: int = 0,
         device_factory: Optional[Callable[[int], FleetDevice]] = None,
         capture_window: int = 256,
     ):
-        self.registry = registry
-        self.devices: Dict[str, FleetDevice] = {
-            device.device_id: device for device in devices
-        }
+        self.service = service
+        self.faults = (faults if faults is not None
+                       else service.config.fault_model or FaultModel())
+        self.adversaries = list(adversaries)
+        self.capture_window = capture_window
+        self.stats = CampaignStats()
+        self._rng = derive_rng(service.config.seed, "fleet-lifecycle")
         # Incrementally-maintained sorted id list: campaign rounds and
         # churn sampling need the fleet in sorted order every round, and
         # re-sorting the whole fleet per round is O(n log n) x rounds.
         # bisect keeps it O(log n) per enroll/revoke — and the order is
         # byte-identical to sorted(self.devices), so every RNG-driven
         # selection (churn victims) is unchanged.
-        self._sorted_ids: List[str] = sorted(self.devices)
-        self.verifier = verifier or BatchVerifier(registry, seed=seed)
-        self.faults = faults or FaultModel()
-        self.adversaries = list(adversaries)
-        self.seed = seed
-        self.capture_window = capture_window
-        self.stats = CampaignStats()
-        self._rng = derive_rng(seed, "fleet-lifecycle")
+        self._sorted_ids: List[str] = sorted(service.device_ids())
         self._captured: List[AuthResponse] = []
         self._device_factory = device_factory
         self._churn_counter = 0
         self._round_index = 0
 
-    @classmethod
-    def from_service(cls, service, faults: Optional[FaultModel] = None,
-                     adversaries: Sequence[Adversary] = (),
-                     **kwargs) -> "FleetSimulator":
-        """Drive campaigns against an :class:`repro.service.AuthService`.
+    @property
+    def registry(self) -> FleetRegistry:
+        return self.service.registry
 
-        The simulator is just another client of the facade: it shares
-        the service's registry, devices, and verifier (duck-typed, so
-        this module never imports :mod:`repro.service`).  Equivalent to
-        :meth:`repro.service.AuthService.simulator`.
-        """
-        return cls(
-            service.registry, service.device_list, service.verifier,
-            faults=faults if faults is not None
-            else getattr(service.config, "fault_model", None),
-            adversaries=adversaries, seed=service.config.seed, **kwargs,
-        )
+    @property
+    def verifier(self) -> BatchVerifier:
+        return self.service.verifier
+
+    @property
+    def devices(self) -> Dict[str, FleetDevice]:
+        """The service's devices by id, in enrollment order."""
+        return {device.device_id: device
+                for device in self.service.device_list}
 
     # -- lifecycle: churn -------------------------------------------------
-
-    def enroll_device(self, device: FleetDevice,
-                      n_spot_crps: int = 0) -> None:
-        """Mid-campaign enrollment (provisions the device if needed)."""
-        if device.current_response is None:
-            device.provision(self.seed)
-        self.registry.enroll(device, n_spot_crps=n_spot_crps, seed=self.seed)
-        if device.device_id not in self.devices:
-            bisect.insort(self._sorted_ids, device.device_id)
-        self.devices[device.device_id] = device
-        self.stats.enrolled += 1
-
-    def revoke_device(self, device_id: str) -> None:
-        """Mid-campaign revocation: registry record and verifier state go."""
-        self.registry.revoke(device_id)
-        self.verifier.evict(device_id)
-        if self.devices.pop(device_id, None) is not None:
-            position = bisect.bisect_left(self._sorted_ids, device_id)
-            if position < len(self._sorted_ids) \
-                    and self._sorted_ids[position] == device_id:
-                del self._sorted_ids[position]
-        self.stats.revoked += 1
 
     def _churn(self, rng: np.random.Generator) -> None:
         faults = self.faults
         if (self._device_factory is not None
                 and rng.random() < faults.enroll_prob):
-            self.enroll_device(self._device_factory(self._churn_counter))
+            device = self._device_factory(self._churn_counter)
+            self.service.enroll(device, n_spot_crps=0)
+            bisect.insort(self._sorted_ids, device.device_id)
+            self.stats.enrolled += 1
             self._churn_counter += 1
+        ids = self._sorted_ids
         if (faults.revoke_prob > 0.0
-                and len(self.devices) > faults.min_fleet_size
+                and len(ids) > faults.min_fleet_size
                 and rng.random() < faults.revoke_prob):
-            ids = self._sorted_ids
-            self.revoke_device(ids[int(rng.integers(len(ids)))])
+            victim = int(rng.integers(len(ids)))
+            self.service.revoke(ids[victim])
+            del ids[victim]
+            self.stats.revoked += 1
 
     # -- lifecycle: rounds ------------------------------------------------
 
@@ -455,8 +440,9 @@ class FleetSimulator:
                 delivered[device_id] = False
             else:
                 delivered[device_id] = True
+        device_of = self.service.device
         fresh: List[AuthResponse] = respond_round(
-            [self.devices[device_id] for device_id in responders],
+            [device_of(device_id) for device_id in responders],
             nonces, factors,
         )
         messages: List[AuthResponse] = [
@@ -483,8 +469,8 @@ class FleetSimulator:
                 self._transport_abort(device_id)
                 continue
             try:
-                self.devices[device_id].confirm(confirmation,
-                                                nonces[device_id])
+                device_of(device_id).confirm(confirmation,
+                                             nonces[device_id])
             except AuthenticationFailure as failure:
                 self.stats.count_failure(failure.kind.value)
                 self._transport_abort(device_id)
@@ -503,10 +489,10 @@ class FleetSimulator:
                      snapshot_path: Optional[str] = None) -> CampaignStats:
         """Run ``n_rounds`` rounds, optionally crashing the verifier once.
 
-        With ``crash_after_round`` set, the verifier snapshots its state
-        after that round, is discarded, and a fresh verifier resumes from
-        the snapshot (round-tripped through ``snapshot_path`` on disk
-        when given, in memory otherwise).  Final stats include the
+        With ``crash_after_round`` set, the service snapshots its state
+        after that round and restores from the snapshot — a verifier
+        restart (round-tripped through ``snapshot_path`` on disk when
+        given, in memory otherwise).  Final stats include the
         campaign-end desynchronization count — the number that must be
         zero for the scheme to be fault-tolerant.
         """
@@ -516,7 +502,8 @@ class FleetSimulator:
             if crash_after_round is not None \
                     and round_number == crash_after_round:
                 if snapshot_path is not None:
-                    written = self.save_snapshot(snapshot_path)
+                    written = self.service.save(snapshot_path)
+                    self.stats.snapshots += 1
                     manifest, arrays = load_state(written)
                     self.restore({"manifest": manifest, "arrays": arrays})
                 else:
@@ -528,54 +515,34 @@ class FleetSimulator:
     # -- lifecycle: persistence -------------------------------------------
 
     def snapshot(self) -> dict:
-        """Everything a restarted verifier needs, plus device-side state.
-
-        The registry arrays and manifest come from
-        :meth:`FleetRegistry.to_state`; the verifier's nonce counter and
-        each device's durable state ride along in the manifest.
-        """
-        state = self.registry.to_state()
-        state["manifest"]["verifier"] = self.verifier.to_state()
-        state["manifest"]["device_states"] = [
-            self.devices[device_id].to_state()
-            for device_id in sorted(self.devices)
-        ]
+        """The service's snapshot, counted in :attr:`stats`."""
+        state = self.service.snapshot()
         self.stats.snapshots += 1
         return state
 
-    def save_snapshot(self, path: str) -> str:
-        """Persist :meth:`snapshot` as one ``.npz`` archive."""
-        state = self.snapshot()
-        return save_state(path, state["manifest"], state["arrays"])
-
     def restore(self, state: dict) -> None:
-        """Verifier restart: rebuild registry + verifier from a snapshot.
+        """Verifier restart through the service's ``restore``.
 
         The physical devices are untouched — their rolling state lives on
         the devices themselves.  In-flight sessions die with the old
         verifier; affected devices recover by plain retry because neither
         side committed (two-phase commit).
         """
-        old_registry = self.registry
-        self.registry = FleetRegistry.from_state(state)
-        adopt_scratch(old_registry.backend, self.registry.backend)
-        if old_registry.backend is not self.registry.backend:
-            old_registry.close()
-        self.verifier = BatchVerifier.from_state(
-            self.registry, state["manifest"]["verifier"]
-        )
+        self.service.restore(state)
+        self._sorted_ids = sorted(self.service.device_ids())
         self.stats.restores += 1
 
     # -- invariants -------------------------------------------------------
 
     def desynchronized(self) -> List[str]:
         """Devices whose rolling CRP disagrees with the registry's."""
+        registry = self.registry
         stranded = []
-        for device_id in sorted(self.devices):
-            if device_id not in self.registry:
+        for device_id in sorted(self.service.device_ids()):
+            if device_id not in registry:
                 continue
-            device = self.devices[device_id]
-            record = self.registry.record(device_id)
+            device = self.service.device(device_id)
+            record = registry.record(device_id)
             if device.current_response is None or not np.array_equal(
                 device.current_response, record.current_response
             ):

@@ -52,10 +52,11 @@ from repro.fleet.storage.memory import (
     POINTER_STATE_VERSION,
     STATE_FORMAT,
     MemoryBackend,
+    monolithic_state,
 )
 from repro.protocols.mutual_auth import AuthenticationFailure, FailureKind
 from repro.utils.rng import derive_rng
-from repro.utils.serialization import from_hex, load_state, save_state, to_hex
+from repro.utils.serialization import from_hex, load_state, save_state
 
 #: Historical alias: the monolithic capture has always been version 1.
 STATE_VERSION = MONOLITHIC_STATE_VERSION
@@ -253,36 +254,6 @@ class FleetRegistry:
         the backend on enroll/roll/revoke, never an O(n) walk."""
         return self.backend.storage_bytes
 
-    def _monolithic_capture(self) -> dict:
-        """The portable version-1 capture, built from any backend.
-
-        Byte-identical to the memory backend's :meth:`to_state` — the
-        historical archive format, and the migration vehicle between
-        backends.
-        """
-        manifest = {"format": STATE_FORMAT,
-                    "version": MONOLITHIC_STATE_VERSION,
-                    "devices": []}
-        arrays: Dict[str, np.ndarray] = {}
-        for index, device_id in enumerate(sorted(self.backend.iter_ids())):
-            record = self.backend.get(device_id)
-            key = f"d{index:06d}"
-            manifest["devices"].append({
-                "device_id": device_id,
-                "key": key,
-                "challenge_bits": int(record.challenge_bits),
-                "firmware_hash": to_hex(record.firmware_hash),
-                "expected_clock_count": int(record.expected_clock_count),
-                "sessions": int(record.sessions),
-            })
-            # Copies, not views: the registry mutates current_response and
-            # crp_used in place, and a snapshot must stay a value capture.
-            arrays[f"{key}_response"] = record.current_response.copy()
-            arrays[f"{key}_crp_challenges"] = record.crp_challenges.copy()
-            arrays[f"{key}_crp_responses"] = record.crp_responses.copy()
-            arrays[f"{key}_crp_used"] = record.crp_used.copy()
-        return {"manifest": manifest, "arrays": arrays}
-
     def to_state(self, full: bool = False) -> dict:
         """Capture the registry as ``{"manifest": ..., "arrays": ...}``.
 
@@ -293,7 +264,7 @@ class FleetRegistry:
         the monolithic capture on any backend (portable, but O(fleet)).
         """
         if full:
-            return self._monolithic_capture()
+            return monolithic_state(self.backend)
         return self.backend.to_state()
 
     @classmethod

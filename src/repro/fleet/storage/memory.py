@@ -96,31 +96,38 @@ class MemoryBackend(RegistryBackend):
     # -- persistence ------------------------------------------------------
 
     def to_state(self) -> dict:
-        """The monolithic capture (the registry's historical format).
+        """The monolithic capture (the registry's historical format)."""
+        return monolithic_state(self)
 
-        The manifest carries the scalar/string state (JSON-serializable);
-        the arrays dict holds each record's rolling response, spot pool
-        and burn mask under per-device keys listed in the manifest.
-        Copies, not views: the registry mutates ``current_response`` and
-        ``crp_used`` in place, and a snapshot must stay a value capture.
-        """
-        manifest = {"format": STATE_FORMAT,
-                    "version": MONOLITHIC_STATE_VERSION,
-                    "devices": []}
-        arrays: Dict[str, np.ndarray] = {}
-        for index, device_id in enumerate(sorted(self._records)):
-            record = self._records[device_id]
-            key = f"d{index:06d}"
-            manifest["devices"].append({
-                "device_id": device_id,
-                "key": key,
-                "challenge_bits": int(record.challenge_bits),
-                "firmware_hash": to_hex(record.firmware_hash),
-                "expected_clock_count": int(record.expected_clock_count),
-                "sessions": int(record.sessions),
-            })
-            arrays[f"{key}_response"] = record.current_response.copy()
-            arrays[f"{key}_crp_challenges"] = record.crp_challenges.copy()
-            arrays[f"{key}_crp_responses"] = record.crp_responses.copy()
-            arrays[f"{key}_crp_used"] = record.crp_used.copy()
-        return {"manifest": manifest, "arrays": arrays}
+
+def monolithic_state(backend: RegistryBackend) -> dict:
+    """The portable version-1 capture of any backend's records.
+
+    The manifest carries the scalar/string state (JSON-serializable);
+    the arrays dict holds each record's rolling response, spot pool and
+    burn mask under per-device keys listed in the manifest, in sorted
+    device order.  Copies, not views: the registry mutates
+    ``current_response`` and ``crp_used`` in place, and a snapshot must
+    stay a value capture.  The memory backend's :meth:`to_state` and
+    ``FleetRegistry.to_state(full=True)`` on every backend emit this.
+    """
+    manifest = {"format": STATE_FORMAT,
+                "version": MONOLITHIC_STATE_VERSION,
+                "devices": []}
+    arrays: Dict[str, np.ndarray] = {}
+    for index, device_id in enumerate(sorted(backend.iter_ids())):
+        record = backend.get(device_id)
+        key = f"d{index:06d}"
+        manifest["devices"].append({
+            "device_id": device_id,
+            "key": key,
+            "challenge_bits": int(record.challenge_bits),
+            "firmware_hash": to_hex(record.firmware_hash),
+            "expected_clock_count": int(record.expected_clock_count),
+            "sessions": int(record.sessions),
+        })
+        arrays[f"{key}_response"] = record.current_response.copy()
+        arrays[f"{key}_crp_challenges"] = record.crp_challenges.copy()
+        arrays[f"{key}_crp_responses"] = record.crp_responses.copy()
+        arrays[f"{key}_crp_used"] = record.crp_used.copy()
+    return {"manifest": manifest, "arrays": arrays}

@@ -80,7 +80,6 @@ class PhotonicStrongPUF(StrongPUF):
         noise_mw: float = 5e-4,
         thermal_stabilization: float = 0.995,
         guard_slots: int = 4,
-        use_engine: bool = True,
     ):
         super().__init__()
         if challenge_bits < 8:
@@ -119,10 +118,9 @@ class PhotonicStrongPUF(StrongPUF):
             with_memory=with_memory,
         )
         self.photodiode = Photodiode()
-        # Compiled-engine routing: each (wavelength, environment) operating
-        # point is compiled once into dense operators and reused, so
-        # repeated nominal-condition interrogations pay compilation once.
-        self.use_engine = use_engine
+        # Compiled engine: each (wavelength, environment) operating point
+        # is compiled once into dense operators and reused, so repeated
+        # nominal-condition interrogations pay compilation once.
         self._engine_cache: Dict[Tuple, CompiledMesh] = {}
         # Response bit (slot, adjacent-channel pair) assignments: latest
         # slots first (guard/ring-down region, then trailing challenge
@@ -195,7 +193,7 @@ class PhotonicStrongPUF(StrongPUF):
         challenge: Sequence[int],
         env: PUFEnvironment = NOMINAL_ENV,
         measurement: Optional[int] = None,
-        compiled: Optional[bool] = None,
+        compiled: bool = True,
     ) -> np.ndarray:
         """(n_channels, total_slots) per-slot detected energies (mW)."""
         return self.slot_energies_batch(
@@ -208,14 +206,14 @@ class PhotonicStrongPUF(StrongPUF):
         challenges: np.ndarray,
         env: PUFEnvironment = NOMINAL_ENV,
         measurement: Optional[int] = None,
-        compiled: Optional[bool] = None,
+        compiled: bool = True,
     ) -> np.ndarray:
         """(batch, n_channels, total_slots) energies for many challenges.
 
-        ``compiled`` overrides the instance-level :attr:`use_engine` routing:
-        ``True`` forces the compiled vectorized engine, ``False`` forces the
-        per-call loop path of :meth:`PassiveScrambler.propagate` (the
-        reference the equivalence tests and speedup benchmarks pin against).
+        ``compiled=True`` (the default) runs the compiled vectorized
+        engine; ``False`` runs the per-call loop path of
+        :meth:`PassiveScrambler.propagate` (the reference the equivalence
+        tests and speedup benchmarks pin against).
         """
         challenges = np.atleast_2d(np.asarray(challenges, dtype=np.uint8))
         if challenges.shape[1] != self.challenge_bits:
@@ -223,8 +221,6 @@ class PhotonicStrongPUF(StrongPUF):
                 f"challenges must have {self.challenge_bits} bits, "
                 f"got {challenges.shape[1]}"
             )
-        if compiled is None:
-            compiled = self.use_engine
         if measurement is None:
             measurement = self._next_measurement()
         spb = self.modulator.samples_per_bit
@@ -275,7 +271,7 @@ class PhotonicStrongPUF(StrongPUF):
         challenges: np.ndarray,
         env: PUFEnvironment = NOMINAL_ENV,
         measurement: Optional[int] = None,
-        compiled: Optional[bool] = None,
+        compiled: bool = True,
     ) -> np.ndarray:
         """(batch, response_bits) responses for a matrix of challenges."""
         energies = self.slot_energies_batch(challenges, env, measurement,

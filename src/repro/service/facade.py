@@ -25,9 +25,9 @@ Policies (:mod:`repro.service.policy`) hook every verb: rate limiting
 denies requests before they burn a nonce, audit logging observes
 lifecycle events, and a :class:`~repro.service.policy.RetryPolicy`
 drives transient-failure retries.  Lifecycle simulation is just another
-client: :meth:`AuthService.simulator` wires a
-:class:`~repro.fleet.lifecycle.FleetSimulator` onto the same registry,
-devices, and verifier.
+client: :meth:`AuthService.simulator` builds a
+:class:`~repro.fleet.lifecycle.FleetSimulator` that reads the registry,
+devices and verifier through the service.
 """
 
 from __future__ import annotations
@@ -108,30 +108,41 @@ class AuthService:
                  clock: Callable[[], float] = time.monotonic):
         self.config = (config if config is not None
                        else FleetConfig(n_devices=max(1, len(devices))))
-        self.registry = registry
         self._devices: Dict[str, FleetDevice] = {
             device.device_id: device for device in devices
         }
-        self.verifier = verifier if verifier is not None else BatchVerifier(
-            registry, seed=self.config.seed,
-            clock_tolerance=self.config.clock_tolerance,
-        )
         self.policies: List[ServicePolicy] = list(policies)
         self._clock = clock
         # Observability hook (repro.obs.ServiceObs via
         # instrument_service); None costs one attribute load per verb.
         self._obs = None
-        self.coalescer = self._build_coalescer()
+        if verifier is None:
+            verifier = BatchVerifier(
+                registry, seed=self.config.seed,
+                clock_tolerance=self.config.clock_tolerance,
+            )
+        self._install(registry, verifier)
 
-    def _build_coalescer(self) -> RoundCoalescer:
-        coalescer = RoundCoalescer(
-            self.registry.record, self._run_micro_round,
+    def _install(self, registry: FleetRegistry,
+                 verifier: BatchVerifier) -> None:
+        """Serve from ``registry`` and ``verifier`` from now on.
+
+        The one place a service takes on verifier-plane state: at
+        construction, at :meth:`restore`, and when a
+        :class:`~repro.service.ha.ReplicaGroup` hands a replica a new
+        incarnation.  Pending micro-round tickets die with the old
+        coalescer, and an instrumented service stays instrumented.
+        """
+        self.registry = registry
+        self.verifier = verifier
+        self.coalescer = RoundCoalescer(
+            registry.record, self._run_micro_round,
             latency_budget_s=self.config.latency_budget_s,
             max_batch=self.config.max_batch,
             clock=self._clock,
         )
-        coalescer._obs = getattr(self, "_obs", None)
-        return coalescer
+        if self._obs is not None:
+            self._obs.bind(self)
 
     # -- construction ------------------------------------------------------
 
@@ -470,33 +481,26 @@ class AuthService:
         config = (FleetConfig.from_state(state["manifest"]["config"])
                   if "config" in state["manifest"] else self.config)
         old_registry = self.registry
-        self.registry = FleetRegistry.from_state(
+        registry = FleetRegistry.from_state(
             state,
             backend=self._registry_target_backend(state["manifest"], config),
         )
-        adopt_scratch(old_registry.backend, self.registry.backend)
-        if old_registry.backend is not self.registry.backend:
+        adopt_scratch(old_registry.backend, registry.backend)
+        if old_registry.backend is not registry.backend:
             old_registry.close()
         # A pointer re-attach starts from backend defaults; the resident
         # cap is config-level state, so carry it forward.
         if config.resident_records is not None \
-                and hasattr(self.registry.backend, "resident_records"):
-            self.registry.backend.resident_records = \
-                int(config.resident_records)
-        self.verifier = BatchVerifier.from_state(
-            self.registry, state["manifest"]["verifier"]
-        )
+                and hasattr(registry.backend, "resident_records"):
+            registry.backend.resident_records = int(config.resident_records)
         self.config = config
         self._devices = {
             device_id: device
             for device_id, device in self._devices.items()
-            if device_id in self.registry
+            if device_id in registry
         }
-        self.coalescer = self._build_coalescer()
-        if self._obs is not None:
-            # The restored verifier and coalescer are new objects; keep
-            # them on the same registry as the service they serve.
-            self._obs.bind(self)
+        self._install(registry, BatchVerifier.from_state(
+            registry, state["manifest"]["verifier"]))
 
     @staticmethod
     def _registry_target_backend(manifest: dict, config: FleetConfig):
@@ -528,21 +532,20 @@ class AuthService:
     def load(cls, path: str, devices: Sequence[FleetDevice],
              *, policies: Sequence[ServicePolicy] = (),
              clock: Callable[[], float] = time.monotonic) -> "AuthService":
-        """Rebuild a service from :meth:`save` around the physical devices."""
+        """Rebuild a service from :meth:`save` around the physical devices.
+
+        The archive goes through :meth:`restore`, so a loaded service
+        and a restored one are the same thing: the archived config
+        (resident cap included), a fresh nonce epoch, and only the
+        devices the archived registry knows.
+        """
         manifest, arrays = load_state(path)
-        state = {"manifest": manifest, "arrays": arrays}
         config = (FleetConfig.from_state(manifest["config"])
                   if "config" in manifest else None)
-        registry = FleetRegistry.from_state(
-            state,
-            backend=(cls._registry_target_backend(manifest, config)
-                     if config is not None else None),
-        )
-        verifier = BatchVerifier.from_state(registry, manifest["verifier"])
-        if config is None:
-            config = FleetConfig(n_devices=max(1, len(registry)))
-        return cls(registry, devices, verifier, config=config,
-                   policies=policies, clock=clock)
+        service = cls(FleetRegistry(), devices, config=config,
+                      policies=policies, clock=clock)
+        service.restore({"manifest": manifest, "arrays": arrays})
+        return service
 
     # -- lifecycle simulation and teardown ---------------------------------
 
@@ -552,13 +555,14 @@ class AuthService:
         """A lifecycle simulator driving *this* service's fleet.
 
         Fault-injection campaigns are just another client of the
-        facade: the simulator shares the registry, devices, and
-        verifier, so campaign outcomes are the service's outcomes.
-        (Delegates to :meth:`FleetSimulator.from_service` — the wiring
-        exists exactly once.)
+        facade: the simulator reads the registry, verifier and devices
+        through the service, churns through :meth:`enroll` /
+        :meth:`revoke` and crashes through :meth:`snapshot` /
+        :meth:`save` / :meth:`restore`, so campaign outcomes are the
+        service's outcomes.  Same as ``FleetSimulator(service, ...)``.
         """
-        return FleetSimulator.from_service(self, faults=faults,
-                                           adversaries=adversaries, **kwargs)
+        return FleetSimulator(self, faults=faults, adversaries=adversaries,
+                              **kwargs)
 
     def close(self) -> None:
         """Close the registry backend."""

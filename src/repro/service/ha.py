@@ -161,8 +161,8 @@ class ReplicaGroup:
                 # Replica 0 reuses the provisioned service (it owns the
                 # execution plane and the device roster) with its
                 # verifier swapped for the partitioned one.
-                service.verifier = self._make_verifier(0, service.registry)
-                service.coalescer = service._build_coalescer()
+                service._install(service.registry,
+                                 self._make_verifier(0, service.registry))
                 self.replicas.append(_Replica(0, service))
             else:
                 standby = AuthService(
@@ -374,9 +374,8 @@ class ReplicaGroup:
             if self._obs is not None:
                 self._obs.on_wal_replay(self._clock() - attach_started)
             self._registries.append(registry)
-            replica.service.registry = registry
-            replica.service.verifier = self._make_verifier(index, registry)
-            replica.service.coalescer = replica.service._build_coalescer()
+            replica.service._install(registry,
+                                     self._make_verifier(index, registry))
         self.promotions += 1
         self.events.append({"event": "promote", "replica": index,
                             "at": now})
@@ -429,9 +428,8 @@ class ReplicaGroup:
         if replica.alive:
             return
         registry = self.registry
-        replica.service.registry = registry
-        replica.service.verifier = self._make_verifier(index, registry)
-        replica.service.coalescer = replica.service._build_coalescer()
+        replica.service._install(registry,
+                                 self._make_verifier(index, registry))
         await self._start_server(replica)
         self.events.append({"event": "restore", "replica": index,
                             "at": self._clock()})

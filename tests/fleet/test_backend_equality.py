@@ -66,6 +66,7 @@ def run_campaign(storage_name, tmp_path, n_spot_crps=0):
            if storage_name == "sharded" else {}),
     )
     service = AuthService.provision(config)
+    pre_crash_backend = service.registry.backend
     recorder = TranscriptRecorder()
     simulator = service.simulator(
         adversaries=HOSTILE["adversaries_factory"]() + [recorder],
@@ -75,7 +76,7 @@ def run_campaign(storage_name, tmp_path, n_spot_crps=0):
     # O(dirty) checkpoint, journal truncation, and generation-guarded
     # re-attach while rounds keep flowing on both sides of the crash.
     stats = simulator.run_campaign(N_ROUNDS, crash_after_round=CRASH_AFTER)
-    return service, simulator, recorder, stats
+    return service, simulator, recorder, stats, pre_crash_backend
 
 
 @pytest.fixture(scope="module")
@@ -88,9 +89,8 @@ def campaigns(tmp_path_factory):
 class TestHostileCampaignBackendEquality:
     def test_backends_actually_differ(self, campaigns):
         memory_service = campaigns["memory"][0]
-        sharded_service = campaigns["sharded"][0]
         assert memory_service.registry.backend.name == "memory"
-        sharded_backend = sharded_service.simulator().registry.backend
+        sharded_backend = campaigns["sharded"][4]
         assert sharded_backend.name == "sharded"
         # The tiny resident cap really forced out-of-core paging.
         assert sharded_backend.stats["evictions"] > 0
@@ -149,9 +149,6 @@ class TestChurnAndSpotChecksAcrossBackends:
             device_factory=photonic_device_factory(seed=77, **FAST_PUF),
         )
         stats = simulator.run_campaign(10, crash_after_round=5)
-        # Post-restore, the *simulator's* verifier owns the live
-        # registry (the service facade is a stale handle by design —
-        # rebuild it around the hardware to resume serving).
         spot = simulator.verifier.spot_check(
             [simulator.devices[device_id]
              for device_id in sorted(simulator.devices)][:4], k=2)

@@ -17,18 +17,22 @@ from repro.fleet import (
     TamperAdversary,
     photonic_device_factory,
 )
+from repro.obs import instrument_service, parse_prometheus, render_prometheus
 from repro.protocols.mutual_auth import FailureKind
-from repro.service import AuthService, FleetConfig
+from repro.service import AuditLogPolicy, AuthService, FleetConfig
 
 
 FAST_PUF = dict(challenge_bits=32, n_stages=4, response_bits=16)
+#: Zero-noise PUF: a service round after a campaign has nothing to blame
+#: but verifier state.
+QUIET_PUF = dict(FAST_PUF, noise_mw=0.0)
 
 
 def build_simulator(n_devices, seed, **kwargs):
     # Lifecycle simulation is just another client of the facade.
     service = AuthService.provision(FleetConfig(
         n_devices=n_devices, seed=seed, puf=FAST_PUF))
-    return FleetSimulator.from_service(service, **kwargs)
+    return FleetSimulator(service, **kwargs)
 
 
 class TestFaultModelValidation:
@@ -227,3 +231,65 @@ class TestAcceptanceCampaign:
                 device.current_response,
                 registry.record(device.device_id).current_response,
             )
+
+
+def scrape_of(obs):
+    return parse_prometheus(render_prometheus(obs.registry.snapshot()))
+
+
+class TestServiceOwnsVerifierState:
+    """A campaign leaves the service it drove serving: one registry,
+    verifier and roster, churn and restores seen by hooks and metrics."""
+
+    @pytest.mark.parametrize("backend", ["memory", "sharded"])
+    def test_service_serves_after_crash_restore(self, backend, tmp_path):
+        extra = ({"storage_root": str(tmp_path / "shards"),
+                  "resident_records": 4} if backend == "sharded" else {})
+        service = AuthService.provision(FleetConfig(
+            n_devices=14, seed=81, puf=QUIET_PUF,
+            registry_backend=backend, **extra))
+        simulator = service.simulator(faults=FaultModel())
+        stats = simulator.run_campaign(4, crash_after_round=2)
+        assert stats.restores == 1 and stats.desynchronized == 0
+        report = service.authenticate_batch()
+        assert report.n_accepted == len(service) == 14
+        assert not report.failures
+        assert simulator.registry is service.registry
+        assert simulator.verifier is service.verifier
+        if backend == "sharded":
+            assert service.registry.backend.resident_records == 4
+
+    def test_churn_goes_through_the_service(self):
+        audit = AuditLogPolicy()
+        service = AuthService.provision(
+            FleetConfig(n_devices=12, seed=82, puf=QUIET_PUF),
+            policies=[audit])
+        obs = instrument_service(service)
+        simulator = service.simulator(
+            faults=FaultModel(enroll_prob=0.5, revoke_prob=0.5,
+                              min_fleet_size=4),
+            device_factory=photonic_device_factory(seed=82, **QUIET_PUF),
+        )
+        stats = simulator.run_campaign(8)
+        assert stats.enrolled > 0 and stats.revoked > 0
+        assert sorted(service.device_ids()) == \
+            sorted(service.registry.device_ids())
+        report = service.authenticate_batch()
+        assert report.n_accepted == len(service)
+        assert not report.failures
+        events = [entry["event"] for entry in audit.events]
+        assert events.count("enroll") == stats.enrolled
+        assert events.count("revoke") == stats.revoked
+        scrape = scrape_of(obs)
+        assert scrape[("repro_service_enrolled_total", ())] == stats.enrolled
+        assert scrape[("repro_service_revoked_total", ())] == stats.revoked
+
+    def test_metrics_survive_a_restore(self):
+        service = AuthService.provision(
+            FleetConfig(n_devices=16, seed=83, puf=QUIET_PUF))
+        obs = instrument_service(service)
+        stats = service.simulator(faults=FaultModel()).run_campaign(
+            4, crash_after_round=2)
+        assert stats.restores == 1
+        assert scrape_of(obs)[("repro_auth_finalized_total", ())] == \
+            stats.authenticated == 64

@@ -223,13 +223,11 @@ class TestBatchedDerivations:
 class TestStackedLifecycle:
     def test_hostile_campaign_with_stacked_plane(self):
         service = AuthService.provision(FleetConfig(n_devices=8, seed=77, puf=CFG))
-        registry, devices, verifier = service.registry, service.device_list, service.verifier
         simulator = FleetSimulator(
-            registry, devices, verifier,
+            service,
             faults=FaultModel(confirmation_drop=0.2, response_drop=0.1,
                               max_retries=4),
             adversaries=[ReplayAdversary(probability=0.5)],
-            seed=77,
         )
         stats = simulator.run_campaign(6)
         assert stats.desynchronized == 0

@@ -46,7 +46,7 @@ def campaign_scrape():
     """Scrape of a deterministic 64-device hostile campaign."""
     service = AuthService.provision(FleetConfig(
         n_devices=64, seed=1103, puf=FAST_PUF))
-    simulator = FleetSimulator.from_service(
+    simulator = FleetSimulator(
         service,
         faults=FaultModel(request_drop=0.05, response_drop=0.05,
                           confirmation_drop=0.10),

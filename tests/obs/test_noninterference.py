@@ -58,7 +58,7 @@ def hostile_campaign(mode):
     """Run the reference campaign; ``mode`` picks the instrumentation."""
     service = AuthService.provision(FleetConfig(
         n_devices=N_DEVICES, seed=SEED, puf=FAST_PUF))
-    simulator = FleetSimulator.from_service(
+    simulator = FleetSimulator(
         service,
         faults=FaultModel(request_drop=0.05, response_drop=0.05,
                           confirmation_drop=0.10),

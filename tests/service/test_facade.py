@@ -362,6 +362,21 @@ class TestPersistence:
         assert report.n_accepted == 4 and not report.failures
         assert service.spot_check(k=2).n_accepted == 4
 
+    def test_load_of_a_pointer_archive_keeps_the_resident_cap(self,
+                                                              tmp_path):
+        service = build(n=6, seed=46, registry_backend="sharded",
+                        storage_root=str(tmp_path / "shards"),
+                        resident_records=4)
+        service.authenticate_batch()
+        path = service.save(str(tmp_path / "pointer"))
+        assert load_state(path)[0]["version"] == 2
+        service.close()
+        loaded = AuthService.load(path, service.device_list)
+        assert loaded.config.resident_records == 4
+        assert loaded.registry.backend.resident_records == 4
+        assert loaded.authenticate_batch().n_accepted == 6
+        loaded.close()
+
     def test_save_uses_config_snapshot_path(self, tmp_path):
         service = build(n=1, seed=43,
                         snapshot_path=str(tmp_path / "default-target"))

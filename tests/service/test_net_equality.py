@@ -170,7 +170,7 @@ class ServerBridge:
 def run_in_process():
     service = provision()
     faults, adversaries = hostile()
-    sim = TranscriptingSimulator.from_service(
+    sim = TranscriptingSimulator(
         service, faults=faults, adversaries=adversaries)
     stats = sim.run_campaign(ROUNDS)
     return service, sim, stats
@@ -180,7 +180,7 @@ def run_over_wire():
     service = provision()
     faults, adversaries = hostile()
     with ServerBridge(service) as bridge:
-        sim = WireSimulator.from_service(
+        sim = WireSimulator(
             service, faults=faults, adversaries=adversaries, bridge=bridge)
         stats = sim.run_campaign(ROUNDS)
     return service, sim, stats

@@ -1,12 +1,12 @@
-"""End-to-end transcript equality: facade vs hand-wired simulator.
+"""End-to-end transcript equality: facade vs directly built simulator.
 
 The acceptance gate of the service redesign: a 64-device hostile
-campaign driven through :meth:`AuthService.simulator` must produce
-*bit-identical* round transcripts to a :class:`FleetSimulator` wired by
-hand onto the same provisioned registry, devices and verifier — the
-facade changes the API surface, never a byte of protocol traffic — and
-every wire message observed on the way must round-trip exactly through
-the versioned codec.
+campaign driven through :meth:`AuthService.simulator` (fault model from
+the config) must produce *bit-identical* round transcripts to a
+:class:`FleetSimulator` built directly on a service provisioned without
+one and handed the fault model explicitly — the facade changes the API
+surface, never a byte of protocol traffic — and every wire message
+observed on the way must round-trip exactly through the versioned codec.
 """
 
 import numpy as np
@@ -58,11 +58,9 @@ class TranscriptRecorder(Adversary):
 def legacy_campaign(n_rounds):
     service = AuthService.provision(FleetConfig(
         n_devices=FLEET, seed=SEED, puf=FAST_PUF))
-    registry, devices, verifier = (
-        service.registry, service.device_list, service.verifier)
     recorder = TranscriptRecorder()
     simulator = FleetSimulator(
-        registry, devices, verifier, seed=SEED, faults=HOSTILE["faults"],
+        service, faults=HOSTILE["faults"],
         adversaries=HOSTILE["adversaries_factory"]() + [recorder],
     )
     stats = simulator.run_campaign(n_rounds)
