@@ -31,7 +31,6 @@ from repro.obs import (
     instrument_replica_group,
     instrument_server,
     instrument_service,
-    instrument_verifier,
     parse_prometheus,
 )
 from repro.service import AuthService, FleetConfig, HAConfig
@@ -256,8 +255,8 @@ def test_overhead_ceiling(table_printer):
 
     base = provision()
     instrumented = provision()
-    instrument_verifier(instrumented[1], MetricsRegistry(),
-                        tracer=RoundTracer(capacity=512))
+    instrument_service(instrumented[0], MetricsRegistry(),
+                       tracer=RoundTracer(capacity=512))
     # Interleave the samples: machine noise (frequency scaling, page
     # cache, a background task) hits both planes alike, so best-of is
     # a paired comparison rather than two disjoint measurement windows.

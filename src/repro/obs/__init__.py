@@ -20,8 +20,11 @@ off (pinned by tests/obs/test_noninterference.py).
 
 Metric catalogue
 ----------------
-Authentication plane (:func:`instrument_service` /
-:func:`instrument_verifier`):
+Authentication plane (:func:`instrument_service`; the service's
+verifier and coalescer ride along, and the binding follows every
+verifier and registry the service installs — a restore, an HA
+incarnation — so a lifecycle simulator is instrumented through the
+service it drives):
 
 - ``repro_auth_results_total{result}`` — per-device outcomes;
   ``result`` is ``accepted`` or a
@@ -106,7 +109,6 @@ from repro.obs.instrument import (
     instrument_replica_group,
     instrument_server,
     instrument_service,
-    instrument_verifier,
 )
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
@@ -135,7 +137,6 @@ __all__ = [
     "instrument_replica_group",
     "instrument_server",
     "instrument_service",
-    "instrument_verifier",
     "parse_prometheus",
     "render_json",
     "render_prometheus",

@@ -5,11 +5,13 @@ This module is deliberately **import-light**: it never imports
 *it* for :class:`RegistryBackedCounters`, so a top-level import here
 would be a cycle).  Everything binds by duck typing:
 
-- :func:`instrument_service` /
-  :meth:`ServiceObs.bind_verifier` — outcome counters, round-latency
+- :func:`instrument_service` — outcome counters, round-latency
   histograms, coalescer depth/flush metrics, spot-pool gauges, and
-  round trace spans for an :class:`~repro.service.facade.AuthService`
-  or a bare :class:`~repro.fleet.verifier.BatchVerifier`.
+  round trace spans for an :class:`~repro.service.facade.AuthService`,
+  its verifier and its coalescer.  The service re-binds at every
+  install (restore, HA incarnation), so the metrics follow whichever
+  verifier and registry it serves from; a simulator instruments the
+  service it drives.
 - :func:`instrument_server` / :func:`instrument_chaos` — migrate the
   ``ServerMetrics``/``ChaosMetrics`` attribute counters onto a shared
   registry, carrying over any counts already taken, and
@@ -48,7 +50,6 @@ __all__ = [
     "instrument_replica_group",
     "instrument_server",
     "instrument_service",
-    "instrument_verifier",
 ]
 
 #: Fleets larger than this skip the per-device spot-pool sweep on
@@ -123,14 +124,16 @@ class ServiceObs:
     One instance may be bound to several services at once (an HA
     replica group shares one), in which case the counters aggregate
     across replicas and sampled gauges sum over the live coalescers.
+    The spot-pool gauge samples the registry most recently installed
+    into a bound service.
     """
 
     def __init__(self, registry: MetricsRegistry,
                  tracer: Optional[RoundTracer] = None):
         self.registry = registry
         self.tracer = tracer
+        # Bound services, most recently (re-)bound last.
         self._services: List[object] = []
-        self._pool_sources: List[object] = []
         self._span = None
         self._pre_round: List[tuple] = []  # buffered (event, t) marks
         self.incarnations: Dict[int, int] = {}
@@ -188,23 +191,14 @@ class ServiceObs:
     # -- binding ----------------------------------------------------------
 
     def bind(self, service: object) -> "ServiceObs":
-        """Attach to an ``AuthService`` (verifier + coalescer ride along)."""
-        if not any(bound is service for bound in self._services):
-            self._services.append(service)
+        """Attach to an ``AuthService``, its current verifier and its
+        coalescer; the service moves to the end of the bound list."""
+        self._services = [bound for bound in self._services
+                          if bound is not service]
+        self._services.append(service)
         service._obs = self
-        self.bind_verifier(service.verifier)
-        coalescer = getattr(service, "coalescer", None)
-        if coalescer is not None:
-            coalescer._obs = self
-        return self
-
-    def bind_verifier(self, verifier: object) -> "ServiceObs":
-        """Attach to a bare ``BatchVerifier`` (the simulator path)."""
-        verifier._obs = self
-        fleet_registry = getattr(verifier, "registry", None)
-        if fleet_registry is not None and not any(
-                source is fleet_registry for source in self._pool_sources):
-            self._pool_sources.append(fleet_registry)
+        service.verifier._obs = self
+        service.coalescer._obs = self
         return self
 
     def set_incarnation(self, replica: int, incarnation: int) -> None:
@@ -214,24 +208,21 @@ class ServiceObs:
 
     def _collect(self) -> None:
         depth = submitted = micro = by_size = by_deadline = 0
-        sampled = False
         for service in self._services:
-            coalescer = getattr(service, "coalescer", None)
-            if coalescer is None:
-                continue
-            sampled = True
+            coalescer = service.coalescer
             depth += coalescer.pending_count
             submitted += coalescer.submitted
             micro += coalescer.micro_rounds
             by_size += coalescer.flushed_by_size
             by_deadline += coalescer.flushed_by_deadline
-        if sampled:
+        if self._services:
             self.queue_depth.set(depth)
             self.submitted._set_total(submitted)
             self.micro_rounds._set_total(micro)
             self.flushes._set_total(by_size, reason="size")
             self.flushes._set_total(by_deadline, reason="deadline")
-        for source in reversed(self._pool_sources):
+        for service in reversed(self._services):
+            source = service.registry
             try:
                 if len(source) > POOL_SAMPLE_LIMIT:
                     continue
@@ -497,15 +488,6 @@ def instrument_service(service: object,
         registry = MetricsRegistry(
             clock=getattr(service, "clock", None) or time.monotonic)
     return ServiceObs(registry, tracer).bind(service)
-
-
-def instrument_verifier(verifier: object,
-                        registry: Optional[MetricsRegistry] = None, *,
-                        tracer: Optional[RoundTracer] = None) -> ServiceObs:
-    """Attach to a bare ``BatchVerifier`` (e.g. under a simulator)."""
-    if registry is None:
-        registry = MetricsRegistry()
-    return ServiceObs(registry, tracer).bind_verifier(verifier)
 
 
 def instrument_server(server: object, registry: MetricsRegistry, *,

@@ -19,15 +19,14 @@ the whole family into ``(fleet, ...)`` tensors at provision time:
   :func:`~repro.photonics.engine.stacked_ring_scan` per ring bank (the
   rings axis is the whole ``fleet x channels`` plane), cache-blocked over
   ``fleet x batch`` tiles;
-* **response kernels** — because the scrambler is linear and every
-  interrogation launches on one channel, the first ``S`` output samples
-  depend only on the first ``S`` taps of the die's impulse response.
-  :meth:`response_power_at` evaluates only the bit-slot samples the
-  protocol compares, as two fleet-batched real GEMMs against those
-  time-domain taps; :meth:`modulated_response` evaluates full output
-  streams as one batched FFT convolution against ``(fleet, channels, N)``
-  spectra (*exact* for outputs below ``S`` — no truncation error) that
-  are built from the taps the first time a full stream is asked for.
+* **one output kernel** — because the scrambler is linear and every
+  interrogation launches on one channel, output sample ``t`` depends
+  only on the first ``t + 1`` taps of the die's impulse response.
+  :meth:`response_power_at` evaluates the detected power at any set of
+  output samples as two fleet-batched real GEMMs against those
+  time-domain taps (*exact* — no truncation error): the protocol's
+  bit-slot readout asks for a few samples, a full energy map for all
+  of them.  The plane computes with numpy alone.
 
 Per-die environments are supported (a "ragged" fleet operating at
 different temperatures stacks per-die operators compiled at each die's
@@ -235,13 +234,6 @@ def _stacked_ring_coefficients(
     return ring_b, ring_a
 
 
-def _fft_length(n_samples: int) -> int:
-    """FFT size for an exact first-``S``-samples circular convolution."""
-    from scipy.fft import next_fast_len
-
-    return int(next_fast_len(2 * n_samples - 1, real=False))
-
-
 def _check_samples(samples, n_samples: int) -> np.ndarray:
     """Bit-slot sample positions as 1-D ``intp`` in ``[0, n_samples)``.
 
@@ -286,13 +278,9 @@ class CompiledFleet:
     ring_b: np.ndarray
     ring_a: np.ndarray
     static_matrix: np.ndarray
-    # (launch, n_samples) -> time-domain kernel (h_real, h_imag), and
-    # separately its (spectra, fft_length), each built lazily; mutating
-    # the cache dicts is compatible with frozen.
+    # (launch, n_samples) -> time-domain kernel (h_real, h_imag), built
+    # lazily; mutating the cache dict is compatible with frozen.
     _kernel_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _spectra_cache: dict = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     # -- compilation -------------------------------------------------------
 
@@ -452,8 +440,8 @@ class CompiledFleet:
         *exact* for every sample the interrogation observes.
 
         Built lazily with one stacked :meth:`propagate` pass and cached
-        per ``(launch, n_samples)``; this is all the bit-slot readout
-        (:meth:`response_power_at`) ever builds.
+        per ``(launch, n_samples)``; this is the only kernel the plane
+        builds for :meth:`response_power_at`.
         """
         key = (int(launch), int(n_samples))
         cached = self._kernel_cache.get(key)
@@ -469,64 +457,6 @@ class CompiledFleet:
             self._kernel_cache[key] = cached
         return cached
 
-    def response_kernel(self, launch: int, n_samples: int) -> tuple:
-        """Time-domain kernels plus their spectra, for full output streams.
-
-        Returns ``(h_real, h_imag, spectra, fft_length)``: the
-        :meth:`impulse_response` parts and the ``(fleet, n_channels,
-        fft_length)`` DFT of ``h`` that :meth:`modulated_response`
-        convolves against.  The spectra are built from the cached taps on
-        the first call and cached per ``(launch, n_samples)``; at
-        ``fft_length ~ 2 * n_samples`` complex values they are the
-        largest part of a stacked fleet's memory price (see
-        ``memory_footprint_bytes``), so only full energy maps pay it.
-        """
-        h_real, h_imag = self.impulse_response(launch, n_samples)
-        key = (int(launch), int(n_samples))
-        cached = self._spectra_cache.get(key)
-        if cached is None:
-            h = np.empty(h_real.shape, dtype=np.complex128)
-            h.real = h_real
-            h.imag = h_imag
-            length = _fft_length(n_samples)
-            cached = (np.fft.fft(h, n=length, axis=-1), length)
-            self._spectra_cache[key] = cached
-        return (h_real, h_imag, *cached)
-
-    def modulated_response(
-        self, waves: np.ndarray, launch: int, dies=None
-    ) -> np.ndarray:
-        """Full output fields for modulated single-channel launches.
-
-        ``waves`` is ``(fleet_sel, batch, n_samples)`` real drive
-        waveforms (carrier amplitude folded in); returns the complex
-        ``(fleet_sel, batch, n_channels, n_samples)`` output — identical
-        (to FFT round-off) to building the sparse field tensor and calling
-        :meth:`propagate`, evaluated as one batched spectral convolution.
-        """
-        waves = np.asarray(waves)
-        indices = self._die_indices(dies)
-        n_sel, batch, n_samples = waves.shape
-        if n_sel != indices.size:
-            raise ValueError(
-                f"waves stack {n_sel} dies, selection names {indices.size}"
-            )
-        __, __, spectra, length = self.response_kernel(launch, n_samples)
-        spectra = spectra[indices]
-        out = np.empty(
-            (n_sel, batch, self.n_channels, n_samples), dtype=np.complex128
-        )
-        per_row = self.n_channels * length * 16
-        rows = max(1, (4 * _TILE_TARGET_BYTES) // per_row)
-        die_tile = max(1, rows // max(1, batch))
-        for f0 in range(0, n_sel, die_tile):
-            f1 = min(f0 + die_tile, n_sel)
-            wave_spectra = np.fft.fft(waves[f0:f1], n=length, axis=-1)
-            product = (spectra[f0:f1, np.newaxis]
-                       * wave_spectra[:, :, np.newaxis])
-            out[f0:f1] = np.fft.ifft(product, axis=-1)[..., :n_samples]
-        return out
-
     def response_power_at(
         self,
         waves: np.ndarray,
@@ -534,11 +464,12 @@ class CompiledFleet:
         launch: int,
         dies=None,
     ) -> np.ndarray:
-        """Detected power at selected output samples only.
+        """Detected power at selected output samples.
 
         The protocol compares photodiode energies in a handful of bit
-        slots, so the hot paths never need the full output stream.  For
-        real drive waveforms this evaluates
+        slots, so the hot paths ask for those samples only; a full energy
+        map asks for every sample.  For real drive waveforms this
+        evaluates
         ``|sum_k h[k] w[t - k]|^2`` at the requested sample positions
         ``t`` (1-D integers in ``[0, n_samples)``, else ``ValueError``)
         as two fleet-batched real GEMMs (real and imaginary kernel
@@ -598,8 +529,6 @@ class CompiledFleet:
                  + self.ring_a.nbytes + self.static_matrix.nbytes)
         for h_real, h_imag in self._kernel_cache.values():
             total += h_real.nbytes + h_imag.nbytes
-        for spectra, __ in self._spectra_cache.values():
-            total += spectra.nbytes
         return total
 
     def per_die_bytes(self) -> int:

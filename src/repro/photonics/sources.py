@@ -4,7 +4,9 @@ The NEUROPULS interrogation chain (paper Fig. 2) is: telecom laser ->
 Mach-Zehnder optical modulator driven by the ASIC -> passive PUF
 architecture -> photodiodes.  This module models the laser (power, relative
 intensity noise) and the modulator (bit stream -> optical field samples at
-a configurable bit rate and oversampling factor).
+a configurable bit rate and oversampling factor).  The modulator's finite
+edges are a single-pole smoother computed with numpy and Python floats
+alone: the modulator imports no scipy.
 """
 
 from __future__ import annotations
@@ -112,22 +114,34 @@ class MachZehnderModulator:
         """Vectorized :meth:`drive_waveform` over a ``(batch, n_bits)`` matrix.
 
         The per-sample single-pole smoother is the recurrence
-        ``y[i] = (1 - alpha) * y[i - 1] + alpha * w[i]`` seeded with
-        ``y[-1] = w[0]``; ``scipy.signal.lfilter`` evaluates it for every
-        row at once, with the seed supplied as a per-row initial state.
+        ``y[i] = keep * y[i - 1] + alpha * w[i]`` with ``keep = 1 - alpha``,
+        seeded with ``y[-1] = w[0]``.  A batch runs it in place over the
+        samples of a samples-major copy, one batch-wide add and multiply
+        per sample, and returns that copy transposed; a single row (every
+        batch-1 interrogation) runs it on Python floats, where numpy's
+        per-call overhead would dominate.
         """
         floor = 10.0 ** (-self.extinction_ratio_db / 20.0)
         bits = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
         levels = np.where(bits > 0, 1.0, floor)
-        wave = np.repeat(levels, self.samples_per_bit, axis=1).astype(np.float64)
-        if self.rise_samples > 0:
-            from scipy.signal import lfilter
-
-            alpha = 1.0 - math.exp(-1.0 / self.rise_samples)
-            initial = (1.0 - alpha) * wave[:, :1]
-            wave, __ = lfilter([alpha], [1.0, -(1.0 - alpha)], wave,
-                               axis=-1, zi=initial)
-        return wave
+        if self.rise_samples <= 0:
+            return np.repeat(levels, self.samples_per_bit, axis=1)
+        alpha = 1.0 - math.exp(-1.0 / self.rise_samples)
+        keep = 1.0 - alpha
+        if bits.shape[0] == 1:
+            state, smoothed = float(levels[0, 0]), []
+            for drive in (alpha * levels[0]).tolist():
+                for __ in range(self.samples_per_bit):
+                    state = keep * state + drive
+                    smoothed.append(state)
+            return np.array(smoothed)[np.newaxis]
+        wave = np.repeat(levels.T, self.samples_per_bit, axis=0)
+        state = keep * wave[0]
+        wave *= alpha
+        for sample in wave:
+            sample += state
+            np.multiply(sample, keep, out=state)
+        return wave.T
 
     def modulate_batch(self, carrier: np.ndarray, bits: np.ndarray) -> np.ndarray:
         """Apply many bit streams to one CW carrier: ``(batch, n_samples)``."""

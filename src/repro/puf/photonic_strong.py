@@ -19,8 +19,11 @@ Two execution planes serve interrogations:
   environment-keyed compilation cache (``slot_energies_batch``);
 * per fleet, :class:`PhotonicFleet` stacks every die of a family into one
   :class:`~repro.photonics.fleet_engine.CompiledFleet` so a whole fleet's
-  interrogations run as a single tensor pass — the engine behind
-  ``repro.fleet``'s batch authentication.
+  interrogations run as a single tensor pass through one output kernel
+  — the engine behind ``repro.fleet``'s batch authentication.
+
+Both planes compute with numpy alone; only the per-call loop reference
+(``compiled=False``) reaches scipy, through the scrambler's ring filters.
 """
 
 from __future__ import annotations
@@ -318,10 +321,14 @@ class PhotonicFleet:
     :class:`~repro.photonics.fleet_engine.CompiledFleet`:
 
     * :meth:`slot_energies` — full ``(fleet, batch, channels, slots)``
-      energy maps via the batched spectral-convolution path;
+      energy maps, reading the power at every output sample;
     * :meth:`evaluate` — response bits only, touching just the bit-slot
-      samples the differential readout compares (two real GEMMs for the
-      whole fleet).
+      samples the differential readout compares.
+
+    Both read through one output kernel,
+    :meth:`~repro.photonics.fleet_engine.CompiledFleet.response_power_at`
+    (two real GEMMs for the whole fleet against each die's time-domain
+    taps), so the plane computes with numpy alone.
 
     Per-device noise streams and measurement counters advance exactly as
     they would under per-device interrogation, so a fleet pass is
@@ -521,8 +528,9 @@ class PhotonicFleet:
         base = self.base
         challenges, rows, env_list, measurements, fleet, waves = \
             self._interrogation(challenges, env, measurements, dies)
-        out = fleet.modulated_response(waves, base.launch_channel, dies=rows)
-        power = out.real ** 2 + out.imag ** 2
+        power = fleet.response_power_at(
+            waves, np.arange(waves.shape[-1]), base.launch_channel, dies=rows
+        )
         spb = base.modulator.samples_per_bit
         energies = power.reshape(
             len(rows), challenges.shape[1], base.n_channels,

@@ -116,6 +116,15 @@ class AuthService:
         # Observability hook (repro.obs.ServiceObs via
         # instrument_service); None costs one attribute load per verb.
         self._obs = None
+        # One coalescer for the service's life: it admits against
+        # whichever registry is installed when a request arrives.
+        self.coalescer = RoundCoalescer(
+            lambda device_id: self.registry.record(device_id),
+            self._run_micro_round,
+            latency_budget_s=self.config.latency_budget_s,
+            max_batch=self.config.max_batch,
+            clock=self._clock,
+        )
         if verifier is None:
             verifier = BatchVerifier(
                 registry, seed=self.config.seed,
@@ -130,17 +139,12 @@ class AuthService:
         The one place a service takes on verifier-plane state: at
         construction, at :meth:`restore`, and when a
         :class:`~repro.service.ha.ReplicaGroup` hands a replica a new
-        incarnation.  Pending micro-round tickets die with the old
-        coalescer, and an instrumented service stays instrumented.
+        incarnation.  The coalescer stays, so its counts carry on and
+        pending micro-round tickets settle at its next flush, screened
+        against ``registry``; an instrumented service stays instrumented.
         """
         self.registry = registry
         self.verifier = verifier
-        self.coalescer = RoundCoalescer(
-            registry.record, self._run_micro_round,
-            latency_budget_s=self.config.latency_budget_s,
-            max_batch=self.config.max_batch,
-            clock=self._clock,
-        )
         if self._obs is not None:
             self._obs.bind(self)
 
@@ -348,11 +352,12 @@ class AuthService:
                          ) -> Optional[BatchAuthReport]:
         """The coalescer's ``run_round``: one micro-round, in process.
 
-        A device revoked while pending fails *its own* ticket before the
-        round opens (``open_round`` would fail everyone).  A failed round
-        fails every ticket and returns ``None`` (a protocol failure) or
-        re-raises.  Whatever triggered the flush, a verified round runs
-        the ``after_round`` hooks and is timed under ``phase="flush"``.
+        A device revoked (or restored away) while pending fails *its own*
+        ticket before the round opens (``open_round`` would fail
+        everyone).  A failed round fails every ticket and returns
+        ``None`` (a protocol failure) or re-raises.  Whatever triggered
+        the flush, a verified round runs the ``after_round`` hooks and
+        is timed under ``phase="flush"``.
         """
         live = []
         for device, ticket in batch:
@@ -463,13 +468,16 @@ class AuthService:
     def restore(self, state: dict) -> None:
         """Verifier restart from a snapshot; physical devices untouched.
 
-        In-flight sessions (verifier pendings, coalescer tickets) die
-        with the old verifier; affected devices recover by plain retry
-        under the two-phase commit.  Devices enrolled *after* the
-        snapshot are dropped from the service's fleet view — the
-        restored registry no longer knows them, and one stray unknown
-        device would fail ``open_round`` for a whole default-scope
-        round.  (A device the snapshot knows but this service no longer
+        In-flight verifier sessions die with the old verifier; affected
+        devices recover by plain retry under the two-phase commit.
+        Coalescer tickets stay queued and settle at the next flush,
+        screened against the restored registry (a device it does not
+        know settles ``not-enrolled``); the coalescer takes the restored
+        config's latency budget and ``max_batch``.  Devices enrolled
+        *after* the snapshot are dropped from the service's fleet view —
+        the restored registry no longer knows them, and one stray
+        unknown device would fail ``open_round`` for a whole
+        default-scope round.  (A device the snapshot knows but this service no longer
         holds stays absent from rounds: physical devices cannot be
         conjured from state — rebuild the service around the hardware,
         as :meth:`load` does, to bring it back.)
@@ -494,6 +502,8 @@ class AuthService:
                 and hasattr(registry.backend, "resident_records"):
             registry.backend.resident_records = int(config.resident_records)
         self.config = config
+        self.coalescer.latency_budget_s = float(config.latency_budget_s)
+        self.coalescer.max_batch = int(config.max_batch)
         self._devices = {
             device_id: device
             for device_id, device in self._devices.items()

@@ -104,7 +104,7 @@ from repro.service.net.stream import (
     read_frame,
     write_frame,
 )
-from repro.service.policy import run_hooks
+from repro.service.policy import deny_reason, run_hooks
 from repro.utils.serialization import decode_fields
 
 __all__ = ["AuthServer", "NetConfig", "ServerMetrics"]
@@ -305,7 +305,10 @@ class AuthServer:
 
     The server owns no protocol state of its own — every verb lands on
     the wrapped service/verifier, so snapshots, policies, and metrics
-    of the in-process path apply unchanged to served fleets.
+    of the in-process path apply unchanged to served fleets.  Policy
+    vetoes screen each coalesced ``auth``; an explicit gateway round
+    (``open-round``) has no per-device refusal in wire 1.2 and runs
+    every device it names.
     """
 
     #: Verbs a fenced (non-primary / lease-lost) replica refuses.  The
@@ -472,6 +475,12 @@ class AuthServer:
             # duplicate, which the coalescer flushes first.
             self.metrics.retransmits_dropped += 1
             return
+        # The service's policy vetoes, as AuthService.submit applies
+        # them: the verb loop answers with the veto's failure RESULT
+        # before any nonce is drawn.
+        failure = deny_reason(self.service.policies, device_id)
+        if failure is not None:
+            raise failure
         self._coalescer.submit(_WireAuth(conn, device_id))
         conn.queued += 1
         self._update_gate(conn)
@@ -959,7 +968,11 @@ class AuthServer:
         except ValueError as exc:
             raise AuthenticationFailure(str(exc),
                                         FailureKind.DUPLICATE_DEVICE) from exc
+        # Counted like AuthService.enroll, but the remote device stays
+        # out of the service's roster: it cannot be measured or saved.
         run_hooks(self.service.policies, "on_enroll", device_id)
+        if self.service._obs is not None:
+            self.service._obs.on_enroll()
 
     def _track(self, coro) -> asyncio.Task:
         task = asyncio.get_running_loop().create_task(coro)

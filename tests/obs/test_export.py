@@ -28,7 +28,7 @@ from repro.fleet import (
 from repro.obs import (
     MetricsRegistry,
     format_value,
-    instrument_verifier,
+    instrument_service,
     parse_prometheus,
     render_json,
     render_prometheus,
@@ -63,7 +63,7 @@ def campaign_scrape():
         return ticks["now"]
 
     registry = MetricsRegistry(clock=clock)
-    obs = instrument_verifier(simulator.verifier, registry)
+    obs = instrument_service(service, registry)
     stats = simulator.run_campaign(4)
     return render_prometheus(registry.snapshot()), stats, obs
 

@@ -6,7 +6,9 @@ environment); servers bind ephemeral loopback ports.
 """
 
 import asyncio
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -143,6 +145,23 @@ class TestInstrumentEntryPoints:
         victim = service.device_list[0].device_id
         service.revoke(victim)
         assert obs.revoked.value() == 1
+        service.close()
+
+
+    def test_replaced_registries_are_not_kept_alive(self):
+        # The obs plane binds services only: a restore's replaced
+        # registry used to stay referenced by the spot-pool sampler.
+        service = provision(n_devices=4)
+        obs = instrument_service(service)
+        first = weakref.ref(service.registry)
+        for __ in range(6):
+            service.restore(service.snapshot())
+        gc.collect()
+        assert first() is None
+        assert obs._services == [service]
+        assert service.verifier._obs is obs
+        assert service.authenticate_batch().n_accepted == 4
+        assert obs.finalized.value() == 4
         service.close()
 
 

@@ -15,7 +15,7 @@ from repro.fleet import (
     ReplayAdversary,
     TamperAdversary,
 )
-from repro.obs import MetricsRegistry, RoundTracer, instrument_verifier
+from repro.obs import MetricsRegistry, RoundTracer, instrument_service
 from repro.service import AuthService, FleetConfig
 
 #: Zero-noise PUF: the whole campaign is a pure function of the seed.
@@ -77,8 +77,8 @@ def hostile_campaign(mode):
 
         registry = MetricsRegistry(enabled=(mode == "enabled"),
                                    clock=clock)
-        obs = instrument_verifier(
-            simulator.verifier, registry,
+        obs = instrument_service(
+            service, registry,
             tracer=RoundTracer(capacity=64, clock=clock))
     stats = simulator.run_campaign(N_ROUNDS)
     state = stats.to_state()

@@ -5,8 +5,8 @@ per-die :class:`CompiledMesh` and the uncompiled loop path of
 :meth:`PassiveScrambler.propagate`, including a die-count-1 fleet and a
 ragged-environment fleet (per-die operating points).  The bit-slot
 readout is pinned bit for bit against the original advanced-index gather
-(:func:`reference_power_at`), and the FFT spectra that only full output
-streams need are checked to be built on demand, bit for bit as eagerly.
+(:func:`reference_power_at`), and the time-domain taps it reads are
+checked to be the only kernel a plane builds, bit for bit as eagerly.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 
 from repro.photonics import fleet_engine
 from repro.photonics.engine import CompiledMesh, stacked_ring_scan
-from repro.photonics.fleet_engine import CompiledFleet, _fft_length
+from repro.photonics.fleet_engine import CompiledFleet
 from repro.photonics.mesh import PassiveScrambler
 from repro.photonics.variation import OpticalEnvironment, VariationModel
 from repro.puf.base import NOMINAL_ENV, PUFEnvironment
@@ -50,13 +50,11 @@ def random_fields(shape, seed=0):
 
 
 def eager_kernel(fleet, launch, n_samples):
-    """``(h, spectra, fft_length)`` built the original, eager way."""
+    """The complex taps ``h`` built the original, eager way."""
     impulse = np.zeros((fleet.n_dies, 1, fleet.n_channels, n_samples),
                        dtype=np.complex128)
     impulse[:, 0, launch, 0] = 1.0
-    h = fleet.propagate(impulse)[:, 0]
-    length = _fft_length(n_samples)
-    return h, np.fft.fft(h, n=length, axis=-1), length
+    return fleet.propagate(impulse)[:, 0]
 
 
 def reference_power_at(fleet, waves, samples, launch, dies=None):
@@ -143,8 +141,10 @@ class TestStackedCompilation:
         total = fleet.memory_footprint_bytes()
         assert total > 0
         assert fleet.per_die_bytes() == total // N_DIES
-        fleet.response_kernel(4, 64)
-        assert fleet.memory_footprint_bytes() > total
+        h_real, h_imag = fleet.impulse_response(4, 64)
+        assert fleet.memory_footprint_bytes() == (
+            total + h_real.nbytes + h_imag.nbytes
+        )
 
 
 class TestStackedPropagation:
@@ -215,15 +215,6 @@ class TestStackedPropagation:
 
 
 class TestResponseKernels:
-    def test_modulated_response_matches_propagate(self, fleet):
-        rng = np.random.default_rng(7)
-        waves = rng.standard_normal((N_DIES, 2, 60))
-        sparse = np.zeros((N_DIES, 2, 8, 60), dtype=np.complex128)
-        sparse[:, :, 4, :] = waves
-        reference = fleet.propagate(sparse)
-        via_kernel = fleet.modulated_response(waves, launch=4)
-        assert np.allclose(via_kernel, reference, rtol=RTOL, atol=1e-12)
-
     def test_response_power_at_selected_samples(self, fleet):
         rng = np.random.default_rng(8)
         waves = rng.standard_normal((N_DIES, 3, 60))
@@ -236,21 +227,23 @@ class TestResponseKernels:
                            rtol=RTOL, atol=1e-12)
 
     def test_kernel_cache_reused(self, fleet):
-        first = fleet.response_kernel(4, 60)
-        again = fleet.response_kernel(4, 60)
-        assert first[2] is again[2]
-        other = fleet.response_kernel(4, 72)
-        assert other[2] is not first[2]
+        first = fleet.impulse_response(4, 60)
+        again = fleet.impulse_response(4, 60)
+        assert first[0] is again[0] and first[1] is again[1]
+        other = fleet.impulse_response(4, 72)
+        assert other[0] is not first[0]
 
     def test_kernel_subset_dies(self, fleet, meshes):
         rng = np.random.default_rng(9)
         waves = rng.standard_normal((2, 1, 52))
         subset = [4, 2]
-        out = fleet.modulated_response(waves, launch=4, dies=subset)
+        out = fleet.response_power_at(waves, np.arange(52), launch=4,
+                                      dies=subset)
         for position, die in enumerate(subset):
             sparse = np.zeros((1, 8, 52), dtype=np.complex128)
             sparse[:, 4, :] = waves[position]
-            assert np.allclose(out[position], meshes[die].propagate(sparse),
+            reference = np.abs(meshes[die].propagate(sparse)) ** 2
+            assert np.allclose(out[position], reference,
                                rtol=RTOL, atol=1e-12)
 
 
@@ -312,7 +305,7 @@ class TestReadoutSampleValidation:
 
 
 class TestSpectraOnDemand:
-    """Bit-slot readout builds time-domain taps only; spectra on demand."""
+    """Every readout builds the time-domain taps only, never spectra."""
 
     @pytest.fixture
     def fresh(self, scramblers):
@@ -322,40 +315,26 @@ class TestSpectraOnDemand:
         operators = fresh.memory_footprint_bytes()
         waves = np.random.default_rng(7).standard_normal((N_DIES, 2, 60))
         fresh.response_power_at(waves, TAIL, launch=4)
+        fresh.response_power_at(waves, np.arange(60), launch=4)
         h_real, h_imag = fresh.impulse_response(4, 60)
-        assert fresh._spectra_cache == {}
+        assert list(fresh._kernel_cache) == [(4, 60)]
         assert fresh.memory_footprint_bytes() == (
             operators + h_real.nbytes + h_imag.nbytes
         )
 
     def test_taps_match_eager(self, fresh, fleet):
-        h, __, __ = eager_kernel(fleet, 4, 60)
+        h = eager_kernel(fleet, 4, 60)
         h_real, h_imag = fresh.impulse_response(4, 60)
         assert h_real.flags.c_contiguous and h_imag.flags.c_contiguous
         assert np.array_equal(h_real, h.real)
         assert np.array_equal(h_imag, h.imag)
-
-    def test_spectra_built_on_demand_match_eager(self, fresh, fleet):
-        waves = np.random.default_rng(8).standard_normal((N_DIES, 2, 60))
-        fresh.response_power_at(waves, TAIL, launch=4)   # taps first
-        served = fresh.memory_footprint_bytes()
-        out = fresh.modulated_response(waves, launch=4)
-        __, spectra, length = eager_kernel(fleet, 4, 60)
-        __, __, built, built_length = fresh.response_kernel(4, 60)
-        assert built_length == length
-        assert np.array_equal(built, spectra)
-        product = (spectra[:, np.newaxis]
-                   * np.fft.fft(waves, n=length, axis=-1)[:, :, np.newaxis])
-        eager = np.fft.ifft(product, axis=-1)[..., :60]
-        assert np.array_equal(out, eager)
-        assert fresh.memory_footprint_bytes() == served + built.nbytes
 
 
 CONFIG = dict(challenge_bits=16, n_stages=4, response_bits=8)
 
 
 class TestPlaneSpectraAndMemo:
-    """``PhotonicFleet``: serving builds no spectra; one plane per env."""
+    """``PhotonicFleet``: one kernel, no spectra; one plane per env."""
 
     @pytest.fixture
     def plane(self):
@@ -369,19 +348,21 @@ class TestPlaneSpectraAndMemo:
     def test_round_caches_no_spectra(self, plane):
         plane.evaluate(self.challenges(plane))
         fleet = plane.compiled_fleet()
-        assert fleet._spectra_cache == {}
+        served = plane.memory_footprint_bytes()
+        plane.slot_energies(self.challenges(plane, seed=1))
+        assert len(fleet._kernel_cache) == 1
         kernels = sum(h_real.nbytes + h_imag.nbytes
                       for h_real, h_imag in fleet._kernel_cache.values())
         operators = (fleet.stage_matrices.nbytes + fleet.ring_b.nbytes
                      + fleet.ring_a.nbytes + fleet.static_matrix.nbytes)
-        assert plane.memory_footprint_bytes() == operators + kernels
+        assert plane.memory_footprint_bytes() == served == operators + kernels
 
     def test_energy_maps_on_demand_match_eager(self, plane):
         eager = photonic_strong_family(6, seed=21, **CONFIG).stack()
         base = eager.base
         n_samples = base.modulator.n_samples(base.total_slots)
-        eager.compiled_fleet().response_kernel(base.launch_channel,
-                                               n_samples)
+        eager.compiled_fleet().impulse_response(base.launch_channel,
+                                                n_samples)
         challenges = self.challenges(plane, seed=1)
         plane.evaluate(challenges, measurements=0)
         assert np.array_equal(

@@ -1,5 +1,7 @@
 """Tests for the laser/modulator source chain and the PD/TIA/ADC receive chain."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,44 @@ class TestModulator:
     def test_rate_25g(self):
         mod = MachZehnderModulator(bit_rate=25e9)
         assert mod.bit_period == pytest.approx(40e-12)
+
+
+class TestDriveWaveformBatch:
+    """The numpy smoother is ``scipy.signal.lfilter``'s, bit for bit."""
+
+    @staticmethod
+    def lfilter_reference(mod, bits):
+        from scipy.signal import lfilter
+
+        floor = 10.0 ** (-mod.extinction_ratio_db / 20.0)
+        wave = np.repeat(np.where(bits > 0, 1.0, floor),
+                         mod.samples_per_bit, axis=1)
+        alpha = 1.0 - math.exp(-1.0 / mod.rise_samples)
+        smoothed, __ = lfilter([alpha], [1.0, -(1.0 - alpha)], wave,
+                               axis=-1, zi=(1.0 - alpha) * wave[:, :1])
+        return smoothed
+
+    @pytest.mark.parametrize("rise_samples", [0.3, 1.0, 1.5, 3.7])
+    @pytest.mark.parametrize("samples_per_bit", [1, 2, 4, 8])
+    def test_matches_lfilter(self, rise_samples, samples_per_bit):
+        mod = MachZehnderModulator(samples_per_bit=samples_per_bit,
+                                   rise_samples=rise_samples)
+        for rows in (1, 2, 7, 256, 1024):
+            bits = np.random.default_rng(rows).integers(
+                0, 2, (rows, 68), dtype=np.uint8)
+            wave = mod.drive_waveform_batch(bits)
+            assert wave.shape == (rows, 68 * samples_per_bit)
+            assert wave.dtype == np.float64
+            assert np.array_equal(wave, self.lfilter_reference(mod, bits))
+
+    def test_zero_rise_stays_unsmoothed(self):
+        mod = MachZehnderModulator(samples_per_bit=4, rise_samples=0.0)
+        bits = np.random.default_rng(3).integers(0, 2, (5, 16),
+                                                 dtype=np.uint8)
+        levels = np.where(bits > 0, 1.0, 10.0 ** (-20.0 / 20.0))
+        for rows in (bits[:1], bits):
+            assert np.array_equal(mod.drive_waveform_batch(rows),
+                                  np.repeat(levels[:len(rows)], 4, axis=1))
 
 
 class TestPhotodiode:

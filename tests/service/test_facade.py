@@ -339,6 +339,55 @@ class TestPersistence:
         report = service.authenticate_batch()
         assert report.n_accepted == 2 and not report.failures
 
+    def test_coalescer_counts_survive_restore(self):
+        # One coalescer per service: a restore used to install a fresh
+        # one, so the scraped coalescer counters fell back to zero.
+        service = build(n=4, seed=47, latency_budget_s=60.0)
+        registry = instrument_service(service).registry
+        coalescer = service.coalescer
+        for __ in range(2):
+            for device in service.device_list:
+                service.submit(device)
+            service.flush()
+
+        def scraped():
+            scrape = parse_prometheus(render_prometheus(registry.snapshot()))
+            return (scrape[("repro_coalescer_micro_rounds_total", ())],
+                    scrape[("repro_coalescer_submitted_total", ())])
+
+        assert scraped() == (2, 8)
+        state = service.snapshot()
+        state["manifest"]["config"]["max_batch"] = 3
+        state["manifest"]["config"]["latency_budget_s"] = 0.5
+        service.restore(state)
+        assert service.coalescer is coalescer
+        assert (coalescer.max_batch, coalescer.latency_budget_s) == (3, 0.5)
+        assert scraped() == (2, 8)
+
+    def test_ticket_queued_across_restore_settles(self):
+        service = build(n=3, seed=48, latency_budget_s=60.0)
+        ticket = service.submit("dev-000001")
+        service.restore(service.snapshot())
+        assert not ticket.done
+        report = service.flush()
+        assert report is not None and report.n_accepted == 1
+        assert ticket.done and ticket.accepted
+
+    def test_ticket_for_device_unknown_to_snapshot_settles_not_enrolled(
+            self):
+        service = build(n=2, seed=49, latency_budget_s=60.0)
+        state = service.snapshot()
+        latecomer = FleetDevice(
+            "dev-late", PhotonicStrongPUF(seed=49, die_index=70, **FAST_PUF))
+        service.enroll(latecomer)
+        survivor = service.submit("dev-000000")
+        orphan = service.submit(latecomer)
+        service.restore(state)
+        service.flush()
+        assert survivor.accepted
+        assert orphan.done and not orphan.accepted
+        assert orphan.failure_kind == FailureKind.NOT_ENROLLED.value
+
     def test_archive_with_engine_block_loads_and_serves(self):
         # Saved by AuthService.save at 0.10.0: 4 devices, seed 61, six
         # spot CRPs, FAST_PUF, one round, on the numba-requesting engine

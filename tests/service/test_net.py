@@ -183,6 +183,31 @@ class TestEnrollRevokeSpot:
         assert ticket.accepted
         assert record.sessions == 1
 
+    def test_wire_enrollment_counts_like_revocation(self):
+        from repro.fleet.verifier import FleetDevice
+        from repro.obs import instrument_service
+        from repro.puf.photonic_strong import PhotonicStrongPUF
+
+        async def main():
+            service = provision()
+            obs = instrument_service(service)
+            newcomer = FleetDevice("dev-newcomer",
+                                   PhotonicStrongPUF(seed=999, **FAST_PUF))
+            newcomer.provision(seed=7)
+            async with AuthServer(service) as server:
+                async with AuthClient.connect(
+                        "127.0.0.1", server.port) as client:
+                    await client.enroll(newcomer)
+                    # Registered, but not in the service's roster: a
+                    # remote device cannot be measured or saved.
+                    assert "dev-newcomer" in service.registry
+                    assert "dev-newcomer" not in service
+                    await client.revoke("dev-newcomer")
+            return obs
+        obs = run(main())
+        assert obs.enrolled.value() == 1
+        assert obs.revoked.value() == 1
+
     def test_duplicate_enrollment_rejected_with_taxonomy(self):
         async def main():
             service = provision()
@@ -242,6 +267,34 @@ class TestEnrollRevokeSpot:
                         await client.spot_check(device, k=4)
                     return excinfo.value
         assert run(main()).kind is FailureKind.POOL_EXHAUSTED
+
+
+class TestPolicies:
+    def test_coalesced_auth_honours_rate_limit(self):
+        from repro.service.policy import RateLimitPolicy
+
+        async def main():
+            service = AuthService.provision(
+                FleetConfig(n_devices=4, seed=7, puf=FAST_PUF),
+                policies=[RateLimitPolicy(max_requests=1, window_s=60.0)])
+            device = service.device_list[0]
+            async with AuthServer(service) as server:
+                async with AuthClient.connect(
+                        "127.0.0.1", server.port) as client:
+                    first = await client.authenticate(device, flush=True)
+                    second = await client.authenticate(device, flush=True)
+                    metrics = server.metrics
+            nonces = service.verifier._nonce_counter
+            record = service.registry.record(device.device_id)
+            return first, second, metrics, nonces, record
+        first, second, metrics, nonces, record = run(main())
+        assert first.accepted
+        assert not second.accepted
+        assert second.failure_kind == FailureKind.RATE_LIMITED.value
+        # The veto settled before the coalescer: one round, one nonce.
+        assert (metrics.submitted, metrics.micro_rounds) == (1, 1)
+        assert nonces == 1
+        assert record.sessions == 1
 
 
 class TestGatewayRounds:
