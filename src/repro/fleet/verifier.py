@@ -314,17 +314,19 @@ class SpotCheckReport:
 class CommitLog:
     """Durable write-ahead record of in-flight two-phase CRP commits.
 
-    :meth:`BatchVerifier._verify_round_into` *parks* every device's
-    candidate response here before the confirmation leaves the verifier,
-    and :meth:`BatchVerifier.finalize` / a clean abort resolve the entry.
-    An *ambiguous* abort — connection death after the confirmation may
-    already have reached the device — leaves the entry parked, which is
-    the whole point: a replica (or restarted verifier) sharing this log
-    can later prove from a device's next message which side of the
-    commit the device landed on and complete the registry roll lazily
-    (see :meth:`BatchVerifier._recover_interrupted`).  Without it, a
-    verifier crash in the confirmation→finalize window desynchronizes
-    the device one CRP ahead of the registry forever.
+    Every :class:`BatchVerifier` keeps one (a replica group shares one
+    across its replicas).  :meth:`BatchVerifier._verify_round_into`
+    *parks* every device's candidate response here before the
+    confirmation leaves the verifier, and :meth:`BatchVerifier.finalize`
+    / a clean abort resolve the entry.  An *ambiguous* abort — a
+    connection that died after the confirmation may already have reached
+    the device — leaves the entry parked, which is the whole point: the
+    verifier holding this log (the same one, a restored one, or a
+    promoted replica) can later prove from the device's next message
+    which side of the commit the device landed on and complete the
+    registry roll lazily (see :meth:`BatchVerifier._recover_interrupted`).
+    Without it, a finalize lost in the confirmation→finalize window
+    leaves the device one CRP ahead of the registry forever.
     """
 
     def __init__(self):
@@ -427,7 +429,10 @@ class BatchVerifier:
         # how many times either side crashes and restores.
         self._nonce_counter = nonce_counter
         self._nonce_epoch = nonce_epoch
-        self.commit_log = commit_log
+        # Every verifier parks its accepted candidates in a commit log:
+        # its own, or the one a replica group passes in to share.
+        self.commit_log = (commit_log if isinstance(commit_log, CommitLog)
+                           else CommitLog())
         # Replay tags and unmasked responses of in-flight sessions only,
         # per device; both are dropped at finalization (a finalized
         # session's messages already fail the session-index check), which
@@ -617,11 +622,10 @@ class BatchVerifier:
             # settle (or roll!) a later session (see :meth:`finalize`).
             self._pending[response.device_id] = (
                 bytes(nonces[response.device_id]), new_responses[row])
-            if self.commit_log is not None:
-                # Write-ahead: park the candidate before the confirmation
-                # can leave the verifier, keyed to the session it closes.
-                self.commit_log.park(response.device_id, record.sessions,
-                                     new_responses[row])
+            # Write-ahead: park the candidate before the confirmation can
+            # leave the verifier, keyed to the session it closes.
+            self.commit_log.park(response.device_id, record.sessions,
+                                 new_responses[row])
             report.confirmations[response.device_id] = confirmations[row]
 
     def _recover_interrupted(self, responses: Sequence[AuthResponse]) -> None:
@@ -629,7 +633,7 @@ class BatchVerifier:
 
         A crash (or ambiguous connection death) in the window between
         CONFIRMATION delivery and finalize leaves the device one CRP
-        ahead of the registry, with the candidate parked in the shared
+        ahead of the registry, with the candidate parked in the
         :class:`CommitLog`.  The proof that the device really rolled is
         its *next* message: only a device holding the candidate response
         can MAC with it.  When that proof arrives, roll the registry
@@ -641,7 +645,7 @@ class BatchVerifier:
         adversary without the candidate cannot produce the MAC, so the
         sweep never rolls on a forgery.
         """
-        if self.commit_log is None or len(self.commit_log) == 0:
+        if len(self.commit_log) == 0:
             return
         for response in responses:
             entry = self.commit_log.get(response.device_id)
@@ -711,8 +715,7 @@ class BatchVerifier:
             return
         del self._pending[device_id]
         self.registry.roll(device_id, new_response)
-        if self.commit_log is not None:
-            self.commit_log.commit(device_id)
+        self.commit_log.commit(device_id)
         # A finalized session's messages fail the session-index check, so
         # their replay tags can be dropped.
         self._seen_tags.pop(device_id, None)
@@ -727,8 +730,7 @@ class BatchVerifier:
         candidate becomes un-droppable by unambiguous aborts (only
         finalize or MAC-proven recovery may resolve it).
         """
-        if self.commit_log is not None:
-            self.commit_log.mark_exposed(device_id)
+        self.commit_log.mark_exposed(device_id)
 
     def abort(self, device_id: str, ambiguous: bool = False,
               token: Optional[bytes] = None) -> None:
@@ -761,7 +763,7 @@ class BatchVerifier:
             del self._pending[device_id]
             if self._obs is not None:
                 self._obs.on_abort(self, device_id)
-        if ambiguous or self.commit_log is None:
+        if ambiguous:
             return
         entry = self.commit_log.get(device_id)
         if entry is not None and not entry.exposed:
@@ -771,8 +773,7 @@ class BatchVerifier:
         """Drop all per-device verifier state (revocation cleanup)."""
         self._pending.pop(device_id, None)
         self._seen_tags.pop(device_id, None)
-        if self.commit_log is not None:
-            self.commit_log.drop(device_id)
+        self.commit_log.drop(device_id)
 
     def to_state(self) -> dict:
         """Durable verifier state beyond the registry.
@@ -780,8 +781,10 @@ class BatchVerifier:
         Only the nonce stream state matters across a restart.  In-flight
         pendings and replay tags are transient by design — an interrupted
         session is simply retried under the two-phase commit.  The
-        shared :class:`CommitLog` is deliberately *not* captured here:
-        it is group-owned durable state with its own ``to_state``.
+        :class:`CommitLog` is deliberately *not* captured here: it
+        outlives verifier incarnations (a service's restore hands it to
+        the restored verifier, a replica group shares its own) and has
+        its own ``to_state``.
         """
         return {"seed": int(self.seed),
                 "clock_tolerance": float(self.clock_tolerance),

@@ -2,9 +2,9 @@
 
 A production verifier plane needs eyes: this package adds a
 hot-path-cheap :class:`MetricsRegistry` (counters, gauges, fixed
-log-bucket histograms; one branch when disabled), per-round trace
-spans in a bounded ring (:class:`RoundTracer`), Prometheus/JSON
-renderers, and instrumentation entry points for every layer — the
+log-bucket histograms), per-round trace spans in a bounded ring
+(:class:`RoundTracer`), Prometheus/JSON renderers, and
+instrumentation entry points for every layer — the
 :class:`~repro.service.facade.AuthService` facade, the
 :class:`~repro.fleet.verifier.BatchVerifier` and its
 :class:`~repro.fleet.verifier.RoundCoalescer`, the socket server and

@@ -25,11 +25,11 @@ would be a cycle).  Everything binds by duck typing:
 
 The binding sites inside the instrumented classes are all of the form
 ``if self._obs is not None: self._obs.on_...(...)`` — an
-uninstrumented object pays one attribute load, and an instrumented
-object with a *disabled* registry pays exactly one further branch
-(every hook begins with the enabled check).  No hook ever touches an
-RNG or a non-injected clock: metrics on vs off is transcript- and
-nonce-stream-identical (tests/obs/test_noninterference.py).
+uninstrumented object pays one attribute load.  Whether an object is
+instrumented is decided by calling ``instrument_*`` on it; a registry
+has no off switch.  No hook ever touches an RNG or a non-injected
+clock: metrics on vs off is transcript- and nonce-stream-identical
+(tests/obs/test_noninterference.py).
 """
 
 from __future__ import annotations
@@ -73,13 +73,7 @@ class RegistryBackedCounters:
     :class:`~repro.obs.registry.Counter` series on the registry passed
     at construction; :func:`instrument_server` /
     :func:`instrument_chaos` rebind an owner's counters onto a shared
-    one.
-
-    Attribute writes go through ``Counter._set_total`` deliberately
-    un-gated on the registry's enabled flag: the attribute API promises
-    the counts are always live, and the socket server's accounting
-    (e.g. ``drained_tickets``) must stay correct even when an operator
-    disables scraping.
+    one.  Attribute writes are absolute (``Counter._set_total``).
     """
 
     _PREFIX = "repro_"
@@ -245,8 +239,6 @@ class ServiceObs:
 
     def on_challenge(self, verifier: object,
                      nonces: Dict[str, bytes]) -> None:
-        if not self.registry._enabled:
-            return
         self.challenges.inc(len(nonces))
         if self.tracer is not None:
             replica = int(getattr(verifier, "replica_index", 0))
@@ -259,8 +251,6 @@ class ServiceObs:
             self._span = span
 
     def on_verify(self, verifier: object, report: object) -> None:
-        if not self.registry._enabled:
-            return
         self.rounds.inc()
         if report.confirmations:
             self.results.inc(len(report.confirmations), result="accepted")
@@ -272,13 +262,9 @@ class ServiceObs:
             self.tracer.finish(span, "verified")
 
     def on_result(self, kind: str) -> None:
-        if not self.registry._enabled:
-            return
         self.results.inc(result=kind)
 
     def on_finalize(self, verifier: object, device_id: str) -> None:
-        if not self.registry._enabled:
-            return
         self.finalized.inc()
         span = self._span
         # Mark the span's state transition once per round, not once per
@@ -291,8 +277,6 @@ class ServiceObs:
             span.status = "finalized"
 
     def on_abort(self, verifier: object, device_id: str) -> None:
-        if not self.registry._enabled:
-            return
         self.aborted.inc()
         span = self._span
         if self.tracer is not None and span is not None \
@@ -302,39 +286,27 @@ class ServiceObs:
             span.status = "aborted"
 
     def on_recovered(self, verifier: object) -> None:
-        if not self.registry._enabled:
-            return
         self.recovered.inc()
 
     # -- facade hooks -----------------------------------------------------
 
     def on_round(self, report: object, elapsed: float, phase: str) -> None:
-        if not self.registry._enabled:
-            return
         self.round_latency.observe(elapsed, phase=phase)
 
     def on_enroll(self) -> None:
-        if not self.registry._enabled:
-            return
         self.enrolled.inc()
 
     def on_revoke(self) -> None:
-        if not self.registry._enabled:
-            return
         self.revoked.inc()
 
     # -- coalescer hooks --------------------------------------------------
 
     def on_coalescer_submit(self, depth: int) -> None:
-        if not self.registry._enabled:
-            return
         self.queue_depth.set(depth)
         if self.tracer is not None and len(self._pre_round) < 1024:
             self._pre_round.append(("submit", self.tracer.clock()))
 
     def on_coalescer_flush(self, size: int) -> None:
-        if not self.registry._enabled:
-            return
         self.micro_round_size.observe(size)
         if self.tracer is not None and len(self._pre_round) < 1024:
             self._pre_round.append(("flush", self.tracer.clock()))
@@ -354,8 +326,6 @@ class ServerObs:
             tuple(sorted(self.labels)))
 
     def on_handshake(self, elapsed: float) -> None:
-        if not self.registry._enabled:
-            return
         self.handshake_latency.observe(elapsed, **self.labels)
 
 
@@ -390,8 +360,6 @@ class BackendObs:
             "Records currently resident in memory", labelnames)
 
     def on_checkpoint(self, written: int, elapsed: float) -> None:
-        if not self.registry._enabled:
-            return
         self.checkpoint_bytes.observe(written, **self.labels)
         self.checkpoint_seconds.observe(elapsed, **self.labels)
 
@@ -435,23 +403,15 @@ class GroupObs:
             ("replica",))
 
     def on_lease(self, event: str) -> None:
-        if not self.registry._enabled:
-            return
         self.lease_transitions.inc(event=event)
 
     def on_promotion(self) -> None:
-        if not self.registry._enabled:
-            return
         self.promotions.inc()
 
     def on_fenced(self, kind: str) -> None:
-        if not self.registry._enabled:
-            return
         self.fenced.inc(kind=kind)
 
     def on_wal_replay(self, elapsed: float) -> None:
-        if not self.registry._enabled:
-            return
         self.wal_replay.observe(elapsed)
 
     def rebind(self, group: object) -> None:

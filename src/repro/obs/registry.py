@@ -3,12 +3,12 @@
 Design constraints (they shape every line here):
 
 - **Hot-path cheap.**  Metric writes sit inside ``BatchVerifier`` and
-  the socket server.  A *disabled* registry must cost exactly one
-  branch per write (``if not enabled: return``); an enabled one costs a
-  couple of dict operations.  No locks anywhere: the stack is
-  single-threaded asyncio, and CPython dict/int mutations are atomic
-  under the GIL, so readers (``snapshot()``) never see torn state —
-  the registry is lock-free on read by construction.
+  the socket server, and each costs a couple of dict operations; an
+  object nobody instrumented pays one attribute load per hook site.
+  No locks anywhere: the stack is single-threaded asyncio, and CPython
+  dict/int mutations are atomic under the GIL, so readers
+  (``snapshot()``) never see torn state — the registry is lock-free on
+  read by construction.
 - **Deterministic.**  The clock is injectable (``clock=`` — default
   :func:`time.monotonic`) so tests drive histograms and timers with a
   fake clock, and nothing here ever touches an RNG: instrumentation
@@ -117,8 +117,6 @@ class Counter(Metric):
     kind = "counter"
 
     def inc(self, amount: float = 1, **labels: object) -> None:
-        if not self._registry._enabled:
-            return
         if amount < 0:
             raise ValueError("counters only go up")
         key = self._key(labels)
@@ -128,12 +126,7 @@ class Counter(Metric):
         return self._series.get(self._key(labels), 0)
 
     def _set_total(self, value: float, **labels: object) -> None:
-        """Internal: absolute write for collectors and attribute counters.
-
-        Deliberately *not* gated on ``enabled`` — the
-        ``ServerMetrics``/``ChaosMetrics`` attribute APIs promise their
-        counts stay correct regardless of registry state.
-        """
+        """Internal: absolute write for collectors and attribute counters."""
         self._series[self._key(labels)] = value
 
     def _snapshot(self) -> dict:
@@ -154,13 +147,9 @@ class Gauge(Metric):
     kind = "gauge"
 
     def set(self, value: float, **labels: object) -> None:
-        if not self._registry._enabled:
-            return
         self._series[self._key(labels)] = value
 
     def inc(self, amount: float = 1, **labels: object) -> None:
-        if not self._registry._enabled:
-            return
         key = self._key(labels)
         self._series[key] = self._series.get(key, 0) + amount
 
@@ -226,8 +215,6 @@ class Histogram(Metric):
         self.buckets = bounds
 
     def observe(self, value: float, **labels: object) -> None:
-        if not self._registry._enabled:
-            return
         key = self._key(labels)
         series = self._series.get(key)
         if series is None:
@@ -270,29 +257,14 @@ class MetricsRegistry:
     mismatch raises instead of silently forking the series.
     """
 
-    def __init__(self, *, enabled: bool = True,
-                 clock: Callable[[], float] = time.monotonic,
+    def __init__(self, *, clock: Callable[[], float] = time.monotonic,
                  max_label_sets: int = 64):
         if max_label_sets < 1:
             raise ValueError("max_label_sets must be at least 1")
-        self._enabled = bool(enabled)
         self.clock = clock
         self.max_label_sets = int(max_label_sets)
         self._metrics: Dict[str, Metric] = {}
         self._collectors: List[Callable[[], None]] = []
-
-    # -- lifecycle --------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
-    def enable(self) -> None:
-        self._enabled = True
-
-    def disable(self) -> None:
-        """Metric writes become a single branch; stored series persist."""
-        self._enabled = False
 
     # -- registration -----------------------------------------------------
 
@@ -343,17 +315,12 @@ class MetricsRegistry:
 
     # -- reading ----------------------------------------------------------
 
-    def snapshot(self, run_collectors: bool = True) -> dict:
-        """A plain-dict capture of every series (render-ready).
-
-        Collectors only run on an *enabled* registry: a disabled one
-        must observe nothing, not even on scrape.
-        """
-        if run_collectors and self._enabled:
-            for collect in self._collectors:
-                collect()
+    def snapshot(self) -> dict:
+        """A plain-dict capture of every series (render-ready), taken
+        after every collector has run."""
+        for collect in self._collectors:
+            collect()
         return {
-            "enabled": self._enabled,
             "metrics": [self._metrics[name]._snapshot()
                         for name in sorted(self._metrics)],
         }

@@ -17,7 +17,7 @@ verb set:
     Hamming-threshold spot checks against the enrollment pool;
 ``snapshot`` / ``restore`` / ``save`` / ``load``
     crash-safe persistence (registry, verifier, device state, config);
-``open_round_wire`` / ``verify_round_wire``
+``open_round_wire`` / ``verify_round_wire`` / ``verify_responses``
     the byte-level round for transports, framed by the versioned codec
     (:mod:`repro.service.codec`).
 
@@ -422,11 +422,27 @@ class AuthService:
                           ) -> Tuple[bytes, Dict[str, bytes]]:
         """Verify codec-framed device responses; emit framed replies.
 
-        Returns ``(report frame, {device_id: confirmation frame})``.
+        Returns ``(report frame, {device_id: confirmation frame})``:
+        :meth:`verify_responses` with its report encoded as the one
+        REPORT frame a transport forwards (a gateway round's
+        ``close-round`` answer).
+        """
+        report, confirmations = self.verify_responses(frames, nonces)
+        return encode_message(report), confirmations
+
+    def verify_responses(self,
+                         frames: Sequence[Union[bytes, AuthResponse]],
+                         nonces: Dict[str, bytes],
+                         ) -> Tuple[BatchAuthReport, Dict[str, bytes]]:
+        """Verify device responses; ``(report, {device_id: confirmation
+        frame})``.
+
         Each of ``frames`` is a RESPONSE frame or the
         :class:`~repro.fleet.verifier.AuthResponse` a transport already
-        decoded from one, so no frame is decoded twice.  Frames that
-        fail to decode as an ``AuthResponse`` raise
+        decoded from one, so no frame is decoded twice, and the report
+        comes back as the object, for transports that read it rather
+        than forward it (a served micro-round).  Frames that fail to
+        decode as an ``AuthResponse`` raise
         :class:`~repro.service.codec.CodecError` — a transport must not
         hand the protocol undecodable bytes.
         """
@@ -450,7 +466,7 @@ class AuthService:
             device_id: encode_message(AuthConfirmation(device_id, mac))
             for device_id, mac in report.confirmations.items()
         }
-        return encode_message(report), confirmations
+        return report, confirmations
 
     # -- persistence -------------------------------------------------------
 
@@ -469,7 +485,12 @@ class AuthService:
         """Verifier restart from a snapshot; physical devices untouched.
 
         In-flight verifier sessions die with the old verifier; affected
-        devices recover by plain retry under the two-phase commit.
+        devices recover by plain retry under the two-phase commit.  The
+        old verifier's commit log carries over to the restored one, so a
+        device whose confirmation went out before the restart, and whose
+        finalize never landed, still completes its roll with its next
+        message (an entry the restored registry has moved away from is
+        dropped as stale at that message).
         Coalescer tickets stay queued and settle at the next flush,
         screened against the restored registry (a device it does not
         know settles ``not-enrolled``); the coalescer takes the restored
@@ -510,7 +531,8 @@ class AuthService:
             if device_id in registry
         }
         self._install(registry, BatchVerifier.from_state(
-            registry, state["manifest"]["verifier"]))
+            registry, state["manifest"]["verifier"],
+            commit_log=self.verifier.commit_log))
 
     @staticmethod
     def _registry_target_backend(manifest: dict, config: FleetConfig):

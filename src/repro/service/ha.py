@@ -15,12 +15,12 @@ and chaos-tested failover:
   (``epoch * n_replicas + replica_index``) with a durable per-replica
   epoch floor bumped on every (re)start, so no replica can ever re-issue
   a nonce any other incarnation of any replica put on the wire.
-* A shared :class:`~repro.fleet.verifier.CommitLog` closes the
-  two-phase-commit crash window: a confirmation delivered whose
-  finalize never lands leaves the device one CRP ahead of the registry;
-  the parked candidate lets the *promoted* replica prove the roll from
-  the device's next MAC and complete it lazily — zero desyncs across
-  kills.
+* The group shares the :class:`~repro.fleet.verifier.CommitLog` every
+  verifier keeps, which closes the two-phase-commit crash window: a
+  confirmation delivered whose finalize never lands leaves the device
+  one CRP ahead of the registry; the parked candidate lets the
+  *promoted* replica prove the roll from the device's next MAC and
+  complete it lazily — zero desyncs across kills.
 * :class:`HAAuthClient` — multi-endpoint failover over
   :class:`~repro.service.net.client.AuthClient`: per-verb timeouts,
   :class:`~repro.service.policy.RetryPolicy` exponential backoff with

@@ -56,7 +56,6 @@ from repro.service.net.stream import (
     read_frame,
     write_frame,
 )
-from repro.service.policy import RetryPolicy
 from repro.utils.serialization import encode_fields
 
 __all__ = ["AuthClient", "RemoteAuthError", "RemoteTicket"]
@@ -111,6 +110,9 @@ class _ClientRound:
     def __init__(self, device_ids: Sequence[str]):
         self.expected = set(device_ids)
         self.nonces: Dict[str, bytes] = {}
+        # Devices the server's policies vetoed at open-round, with the
+        # veto (they get no CHALLENGE).
+        self.vetoes: Dict[str, RemoteAuthError] = {}
         self.confirmations: Dict[str, bytes] = {}
         self.report: asyncio.Future = \
             asyncio.get_running_loop().create_future()
@@ -294,52 +296,37 @@ class AuthClient:
         return ticket
 
     async def authenticate(self, device: FleetDevice,
-                           flush: bool = False,
-                           retry_policy: Optional["RetryPolicy"] = None,
-                           ) -> RemoteTicket:
+                           flush: bool = False) -> RemoteTicket:
         """Submit and wait for settlement (optionally forcing a flush).
 
-        With a :class:`~repro.service.policy.RetryPolicy`, settled
-        failures whose kind the policy deems retryable are retried on
-        this same connection after the policy's backoff — the identical
-        taxonomy the in-process facade uses, now covering the transport
-        kinds too (``timeout``, ``replica-unavailable``, ...).  A ticket
-        that never settles within the verb timeout is aborted
+        A ticket that never settles within the verb timeout is aborted
         server-side (keeping both ends on the old CRP) and settled
-        locally as a retryable ``timeout``.
+        locally as a retryable ``timeout``; retrying across endpoints is
+        :class:`~repro.service.ha.HAAuthClient`'s job.
         """
-        attempt = 0
-        while True:
-            attempt += 1
-            ticket = await self.submit(device)
-            if flush:
-                await self.flush()
+        ticket = await self.submit(device)
+        if flush:
+            await self.flush()
+        try:
+            await ticket.wait(self._timeout)
+        except asyncio.TimeoutError:
+            # The challenge or confirmation is lost in transit.  The
+            # two-phase commit makes the abort safe: the device never
+            # confirmed, so telling the server to abort leaves both
+            # sides on the old CRP and a retry is idempotent.
+            self._tickets.pop(device.device_id, None)
             try:
-                await ticket.wait(self._timeout)
-            except asyncio.TimeoutError:
-                # The challenge or confirmation is lost in transit.  The
-                # two-phase commit makes the abort safe: the device never
-                # confirmed, so telling the server to abort leaves both
-                # sides on the old CRP and the retry is idempotent.
-                self._tickets.pop(device.device_id, None)
-                try:
-                    # Quote the round nonce (when a challenge arrived) so
-                    # the abort can only tear down *this* attempt's round
-                    # server-side, never a later one it raced.
-                    await self._send(SessionRequest(
-                        "abort", device.device_id,
-                        {"round": ticket.nonce} if ticket.nonce else {}))
-                except AuthenticationFailure:
-                    pass
-                ticket._settle(False, "no settlement before the verb "
-                               "deadline", FailureKind.TIMEOUT.value)
-            if ticket.accepted or retry_policy is None:
-                return ticket
-            if not retry_policy.should_retry(ticket.failure_kind, attempt):
-                return ticket
-            delay = retry_policy.delay(attempt)
-            if delay > 0.0:
-                await asyncio.sleep(delay)
+                # Quote the round nonce (when a challenge arrived) so the
+                # abort can only tear down *this* attempt's round
+                # server-side, never a later one it raced.
+                await self._send(SessionRequest(
+                    "abort", device.device_id,
+                    {"round": ticket.nonce} if ticket.nonce else {}))
+            except AuthenticationFailure:
+                pass
+            ticket._settle(False, "no settlement before the verb "
+                           "deadline", FailureKind.TIMEOUT.value)
+        return ticket
 
     async def flush(self) -> None:
         """Force the server's pending micro-round to run now."""
@@ -373,21 +360,25 @@ class AuthClient:
         """One explicit wire round for a gateway-held device group.
 
         Mirrors :meth:`AuthService.authenticate_batch` (and therefore
-        :meth:`BatchVerifier.authenticate_fleet`) semantics: respond,
-        verify, confirm, finalize/abort — every message crossing the
-        socket, one write per phase: ``open-round``, then every
-        RESPONSE with ``close-round``, then every ack.  Each device
-        checks its confirmation locally first; a device whose check
-        fails is acked with ``abort``, the rest with ``finalize``, each
-        fenced by its round token.  The acks are pipelined in one write
-        and their results awaited in request order; the first refused
-        ack then raises :class:`RemoteAuthError`, so one refusal never
-        leaves the devices behind it unacked.
+        :meth:`BatchVerifier.authenticate_fleet`) semantics: policy
+        vetoes, respond, verify, confirm, finalize/abort — every message
+        crossing the socket, one write per phase: ``open-round``, then
+        every RESPONSE with ``close-round``, then every ack.  Only the
+        devices that got a CHALLENGE respond; the server's policy vetoes
+        land in the report with their kinds.  Each device checks its
+        confirmation locally first; a device whose check fails is acked
+        with ``abort``, the rest with ``finalize``, each fenced by its
+        round token.  The acks are pipelined in one write and their
+        results awaited in request order; the first refused ack then
+        raises :class:`RemoteAuthError`, so one refusal never leaves the
+        devices behind it unacked.
         """
         devices = list(devices)
         ids = [device.device_id for device in devices]
         nonces = await self.open_round_wire(ids)
-        messages = respond_round(devices, nonces)
+        messages = respond_round(
+            [device for device in devices if device.device_id in nonces],
+            nonces)
         report, confirmations = await self.verify_round_wire(
             [encode_message(message) for message in messages])
         by_id = {device.device_id: device for device in devices}
@@ -416,7 +407,11 @@ class AuthClient:
 
     async def open_round_wire(
             self, device_ids: Sequence[str]) -> Dict[str, bytes]:
-        """Open an explicit round; returns the per-device nonces."""
+        """Open an explicit round; returns the per-device nonces.
+
+        A device the server's policies veto gets no nonce;
+        :meth:`verify_round_wire` records its veto in the round report.
+        """
         if self._round is not None:
             raise RemoteAuthError("a gateway round is already open",
                                   FailureKind.SESSION_MISMATCH)
@@ -441,7 +436,8 @@ class AuthClient:
             self, frames: Sequence[bytes],
     ) -> Tuple[BatchAuthReport, Dict[str, bytes]]:
         """Ship RESPONSE frames, close the round; returns
-        ``(report, {device_id: confirmation mac})``."""
+        ``(report, {device_id: confirmation mac})``, the report holding
+        the open-round policy vetoes too."""
         round_ = self._round
         if round_ is None:
             raise RemoteAuthError("no gateway round open",
@@ -452,6 +448,8 @@ class AuthClient:
             report = await asyncio.wait_for(round_.report, self._timeout)
         finally:
             self._round = None
+        for device_id, veto in round_.vetoes.items():
+            report.record_failure(device_id, veto)
         return report, dict(round_.confirmations)
 
     async def finalize(self, device_id: str,
@@ -650,14 +648,19 @@ class AuthClient:
 
     def _on_result(self, result: SessionResult) -> None:
         if result.verb == "auth":
+            failure = result.detail.get("failure", b"").decode("utf-8",
+                                                               "replace")
+            kind = result.detail.get("kind", b"").decode("utf-8", "replace")
+            if (self._round is not None
+                    and result.device_id in self._round.expected):
+                # An open-round policy veto (it arrives before the
+                # open-round RESULT, in the same write).
+                self._round.vetoes[result.device_id] = RemoteAuthError(
+                    failure, kind)
+                return
             ticket = self._tickets.get(result.device_id)
             if ticket is not None:
-                self._finish_ticket(
-                    ticket, False,
-                    result.detail.get("failure", b"").decode("utf-8",
-                                                             "replace"),
-                    result.detail.get("kind", b"").decode("utf-8",
-                                                          "replace"))
+                self._finish_ticket(ticket, False, failure, kind)
             return
         queue = self._waiters.get((result.verb, result.device_id))
         if queue:

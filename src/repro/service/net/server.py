@@ -31,13 +31,16 @@ A wire micro-round is the protocol's Fig. 4 exchange, scattered:
 3. scatter ``CHALLENGE`` frames to each device's connection;
 4. gather ``RESPONSE`` frames (bounded by ``response_timeout_s`` — a
    silent device fails *its own* ticket, never the round);
-5. one batched ``verify_round_wire``; scatter ``CONFIRMATION`` frames
+5. one batched ``verify_responses``; scatter ``CONFIRMATION`` frames
    (accepted) and ``RESULT`` frames (rejected, with the shared
    ``FailureKind`` taxonomy);
 6. each device acks with ``REQUEST(finalize)`` (or ``abort``) to
-   commit the two-phase CRP roll; a connection that dies before its
-   ack is aborted, keeping both sides on the old CRP.  The same holds
-   for the confirmations of an explicit gateway round
+   commit the two-phase CRP roll.  A connection that dies before its
+   ack aborts the session *ambiguously*: the verifier's commit log
+   keeps the parked candidate, so a device that never got its
+   confirmation retries on the old CRP, and one that confirmed and
+   rolled completes the registry's roll with its next message.  The
+   same holds for the confirmations of an explicit gateway round
    (``open-round``/``close-round``).
 
 Gateway rounds
@@ -49,7 +52,10 @@ answers with every ``CHALLENGE`` plus its ``RESULT`` in one write, and
 verb loop reads in bulk — every complete frame the socket delivered —
 dispatches those frames in order and writes the replies they produce
 together once they are done, so a gateway's pipelined ``finalize``
-acks get their ``RESULT`` frames back in one write too.  Held replies
+acks get their ``RESULT`` frames back in one write too.  The service's
+policy vetoes screen every id ``open-round`` names: a vetoed device
+draws no nonce and gets the veto's failure ``RESULT`` in the
+``open-round`` write instead of a ``CHALLENGE``.  Held replies
 go out early once they reach ``write_high_bytes``, before the loop
 waits on the backpressure gate, and before it closes a connection, so
 a ``REJECT`` and the replies ahead of it still arrive.
@@ -184,6 +190,14 @@ class ServerMetrics(RegistryBackedCounters):
     }
 
 
+def _failed(verb: str, device_id: str, reason: str,
+            kind: str) -> SessionResult:
+    """A failure ``RESULT``: the reason and its ``FailureKind`` value."""
+    return SessionResult(verb, device_id, ok=False,
+                         detail={"failure": reason.encode("utf-8"),
+                                 "kind": kind.encode("utf-8")})
+
+
 class _Connection:
     """Per-socket state: routing tables, watermark gate, write lock."""
 
@@ -306,9 +320,8 @@ class AuthServer:
     The server owns no protocol state of its own — every verb lands on
     the wrapped service/verifier, so snapshots, policies, and metrics
     of the in-process path apply unchanged to served fleets.  Policy
-    vetoes screen each coalesced ``auth``; an explicit gateway round
-    (``open-round``) has no per-device refusal in wire 1.2 and runs
-    every device it names.
+    vetoes screen each coalesced ``auth`` and each device an explicit
+    gateway round (``open-round``) names.
     """
 
     #: Verbs a fenced (non-primary / lease-lost) replica refuses.  The
@@ -341,7 +354,6 @@ class AuthServer:
         self._conns: Set[_Connection] = set()
         self._handlers: Set[asyncio.Task] = set()
         self._rounds: Set[asyncio.Task] = set()
-        self._ack_pending: Set[Tuple[_Connection, str]] = set()
         self._server: Optional[asyncio.base_events.Server] = None
         self._flush_task: Optional[asyncio.Task] = None
         self._closing = False
@@ -387,14 +399,17 @@ class AuthServer:
         if self._rounds:
             await asyncio.wait(list(self._rounds),
                                timeout=self.config.drain_timeout_s)
-        # Give in-flight finalize acks a moment, then abort the rest —
-        # two-phase commit keeps those devices on the old CRP.
+        # Give in-flight finalize acks a moment, then abort the rest
+        # ambiguously — the commit log settles each from its device's
+        # next message.
         loop = asyncio.get_running_loop()
         grace = loop.time() + self.config.drain_timeout_s
-        while self._ack_pending and loop.time() < grace:
+        while any(conn.ack_pending for conn in self._conns) \
+                and loop.time() < grace:
             await asyncio.sleep(0.005)
-        for conn, device_id in list(self._ack_pending):
-            self._abort_unacked(conn, device_id)
+        for conn in list(self._conns):
+            for device_id in list(conn.ack_pending):
+                self._abort_unacked(conn, device_id)
         if self._flush_task is not None:
             self._flush_task.cancel()
         for conn in list(self._conns):
@@ -539,9 +554,8 @@ class AuthServer:
                                        self.config.response_timeout_s)
             except asyncio.TimeoutError:
                 self.metrics.responses_timed_out += len(round_.outstanding)
-        report_frame, confirmation_frames = self.service.verify_round_wire(
+        report, confirmation_frames = self.service.verify_responses(
             list(round_.responses.values()), nonces)
-        report = decode_message(report_frame)
         for conn, device_id in live:
             self._drop_route(conn, device_id, round_)
             if device_id in report.confirmations:
@@ -550,7 +564,7 @@ class AuthServer:
                 # any later unambiguous abort (see BatchVerifier.abort).
                 self.service.verifier.expose(device_id)
                 if await conn.send(confirmation_frames[device_id]):
-                    self._await_ack(conn, device_id)
+                    conn.ack_pending.add(device_id)
                     self.metrics.auths_accepted += 1
                 else:
                     self._abort_unacked(conn, device_id)
@@ -582,28 +596,16 @@ class AuthServer:
     async def _fail_auth(self, conn: _Connection, device_id: str,
                          reason: str, kind: str) -> None:
         self.metrics.auths_failed += 1
-        await conn.send_message(SessionResult(
-            "auth", device_id, ok=False,
-            detail={"failure": reason.encode("utf-8"),
-                    "kind": kind.encode("utf-8")},
-        ))
-
-    def _await_ack(self, conn: _Connection, device_id: str) -> None:
-        conn.ack_pending.add(device_id)
-        self._ack_pending.add((conn, device_id))
-
-    def _acked(self, conn: _Connection, device_id: str) -> None:
-        conn.ack_pending.discard(device_id)
-        self._ack_pending.discard((conn, device_id))
+        await conn.send_message(_failed("auth", device_id, reason, kind))
 
     def _abort_unacked(self, conn: _Connection, device_id: str) -> None:
         # The confirmation may already have reached the device before the
-        # connection died, so this abort is *ambiguous*: when the
-        # verifier carries a shared CommitLog the parked candidate
-        # survives, and the device's next message settles which side of
-        # the commit it landed on (see BatchVerifier._recover_interrupted).
+        # connection died, so this abort is *ambiguous*: the verifier's
+        # CommitLog keeps the parked candidate, and the device's next
+        # message settles which side of the commit it landed on (see
+        # BatchVerifier._recover_interrupted).
         self.metrics.acks_aborted += 1
-        self._acked(conn, device_id)
+        conn.ack_pending.discard(device_id)
         self.service.verifier.abort(device_id, ambiguous=True)
 
     # -- connection handling ---------------------------------------------
@@ -748,11 +750,9 @@ class AuthServer:
             try:
                 await self._handle_request(conn, message)
             except AuthenticationFailure as failure:
-                await conn.send_message(SessionResult(
-                    message.verb, message.device_id, ok=False,
-                    detail={"failure": str(failure).encode("utf-8"),
-                            "kind": failure.kind.value.encode("utf-8")},
-                ))
+                await conn.send_message(_failed(
+                    message.verb, message.device_id, str(failure),
+                    failure.kind.value))
             return not conn.closed
         # CHALLENGE/CONFIRMATION/REPORT/HELLO/WELCOME from a client are
         # protocol violations — this peer is broken or hostile.
@@ -863,10 +863,23 @@ class AuthServer:
                     FailureKind.SESSION_MISMATCH)
             ids = [raw.decode("utf-8")
                    for raw in decode_fields(params.get("ids", b""))]
-            nonces, challenge_frames = self.service.open_round_wire(ids)
+            # The service's policy vetoes, as authenticate_batch applies
+            # them: a vetoed device draws no nonce and is answered with
+            # the veto's failure RESULT in place of a CHALLENGE.
+            admitted, vetoes = [], []
+            for round_device in ids:
+                failure = deny_reason(self.service.policies, round_device)
+                if failure is None:
+                    admitted.append(round_device)
+                else:
+                    vetoes.append(encode_message(_failed(
+                        "auth", round_device, str(failure),
+                        failure.kind.value)))
+            nonces, challenge_frames = self.service.open_round_wire(admitted)
             conn.explicit = _ExplicitRound(nonces)
             await conn.send(
                 *[challenge_frames[round_device] for round_device in nonces],
+                *vetoes,
                 encode_message(SessionResult(
                     "open-round",
                     detail={"count": str(len(nonces)).encode()})))
@@ -886,7 +899,7 @@ class AuthServer:
                 # as a micro-round does: a connection that dies from here
                 # on aborts these sessions (ambiguously) on teardown.
                 self.service.verifier.expose(accepted_id)
-                self._await_ack(conn, accepted_id)
+                conn.ack_pending.add(accepted_id)
             await conn.send(*confirmation_frames.values(), report_frame)
             return
         if verb == "finalize":
@@ -895,13 +908,13 @@ class AuthServer:
             # finalize must not commit a later pending session.
             self.service.verifier.finalize(device_id,
                                            token=params.get("round"))
-            self._acked(conn, device_id)
+            conn.ack_pending.discard(device_id)
             await conn.send_message(SessionResult("finalize", device_id))
             return
         if verb == "abort":
             self.service.verifier.abort(device_id,
                                         token=params.get("round"))
-            self._acked(conn, device_id)
+            conn.ack_pending.discard(device_id)
             await conn.send_message(SessionResult("abort", device_id))
             return
         if verb in ("metrics", "trace"):

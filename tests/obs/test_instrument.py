@@ -86,12 +86,6 @@ class TestDeprecatedShims:
         assert list(metrics.to_json()) == list(ServerMetrics._FIELDS)
         assert set(metrics.to_json().values()) == {0}
 
-    def test_counts_stay_live_with_a_disabled_registry(self):
-        registry = MetricsRegistry(enabled=False)
-        metrics = ServerMetrics(registry)
-        metrics.drained_tickets += 3
-        assert metrics.drained_tickets == 3
-
     def test_fields_back_registry_counters(self):
         registry = MetricsRegistry()
         metrics = ChaosMetrics(registry, labels={"replica": 1})
@@ -259,7 +253,6 @@ class TestMetricsVerb:
                         "127.0.0.1", server.port) as client:
                     return await client.metrics(fmt="json")
         snapshot = json.loads(run(main()))
-        assert snapshot["enabled"] is True
         names = {metric["name"] for metric in snapshot["metrics"]}
         assert "repro_net_server_requests" in names
 

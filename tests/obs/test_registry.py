@@ -1,9 +1,7 @@
 """MetricsRegistry semantics: counters, gauges, histograms, bounds.
 
-The registry's three contracts are pinned here:
+The registry's two contracts are pinned here:
 
-- disabled writes are single-branch no-ops (stored series persist, and
-  the shim path ``_set_total`` stays live regardless);
 - label cardinality is bounded — new label sets past ``max_label_sets``
   fold into the ``other`` overflow series, existing series keep
   counting;
@@ -111,51 +109,6 @@ class TestHistogram:
         assert sample["buckets"] == [0, 1, 0]
 
 
-class TestEnabledGating:
-    def test_disabled_writes_are_noops(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("repro_test_c", "")
-        gauge = registry.gauge("repro_test_g", "")
-        hist = registry.histogram("repro_test_h", "")
-        counter.inc()
-        gauge.set(5)
-        hist.observe(0.1)
-        assert counter.value() == 0
-        assert gauge.value() == 0
-        assert hist._snapshot()["samples"] == []
-
-    def test_disable_preserves_stored_series(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("repro_test_keep", "")
-        counter.inc(3)
-        registry.disable()
-        counter.inc(100)          # dropped
-        assert counter.value() == 3
-        registry.enable()
-        counter.inc()
-        assert counter.value() == 4
-
-    def test_set_total_bypasses_the_gate(self):
-        # The deprecated attribute shims promise live counts even when
-        # an operator disables scraping.
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("repro_test_shimmed", "")
-        counter._set_total(9)
-        assert counter.value() == 9
-
-    def test_collectors_only_run_when_enabled(self):
-        registry = MetricsRegistry()
-        calls = []
-        registry.register_collector(lambda: calls.append(1))
-        registry.snapshot()
-        assert len(calls) == 1
-        registry.disable()
-        registry.snapshot()
-        assert len(calls) == 1
-        registry.snapshot(run_collectors=False)
-        assert len(calls) == 1
-
-
 class TestCardinalityBound:
     def test_new_label_sets_fold_into_other(self):
         registry = MetricsRegistry(max_label_sets=3)
@@ -217,7 +170,6 @@ class TestRegistration:
         assert registry.get("repro_test_b") is counter
         assert registry.get("missing") is None
         snapshot = registry.snapshot()
-        assert snapshot["enabled"] is True
         # Name-sorted for deterministic rendering.
         assert [m["name"] for m in snapshot["metrics"]] == \
             ["repro_test_a", "repro_test_b"]

@@ -296,6 +296,39 @@ class TestPolicies:
         assert nonces == 1
         assert record.sessions == 1
 
+    def test_gateway_round_honours_rate_limit(self):
+        # open-round screens every id it names: the second round's
+        # device is vetoed before it draws a nonce, and both rounds
+        # count against the window the in-process verbs share.
+        from repro.service.policy import RateLimitPolicy
+
+        async def main():
+            config = FleetConfig(n_devices=4, seed=7, puf=FAST_PUF)
+            service = AuthService.provision(
+                config,
+                policies=[RateLimitPolicy(max_requests=1, window_s=60.0)])
+            device = AuthService.provision(config).device_list[0]
+            async with AuthServer(service) as server:
+                async with AuthClient.connect(
+                        "127.0.0.1", server.port) as client:
+                    first = await client.authenticate_batch([device])
+                    rolled = device.current_response.copy()
+                    second = await client.authenticate_batch([device])
+            return service, device, first, second, rolled
+        service, device, first, second, rolled = run(main())
+        assert first.n_accepted == 1
+        assert second.n_accepted == 0
+        assert second.failure_kinds == {
+            device.device_id: FailureKind.RATE_LIMITED.value}
+        record = service.registry.record(device.device_id)
+        assert record.sessions == 1
+        assert np.array_equal(device.current_response, rolled)
+        assert np.array_equal(record.current_response, rolled)
+        assert service.verifier._nonce_counter == 1
+        third = service.authenticate(device.device_id)
+        assert not third.accepted
+        assert third.failure_kind == FailureKind.RATE_LIMITED.value
+
 
 class TestGatewayRounds:
     def test_authenticate_batch_matches_in_process(self):
