@@ -28,7 +28,8 @@ service it drives):
 
 - ``repro_auth_results_total{result}`` — per-device outcomes;
   ``result`` is ``accepted`` or a
-  :class:`~repro.protocols.mutual_auth.FailureKind` value.
+  :class:`~repro.protocols.mutual_auth.FailureKind` value.  Policy
+  vetoes count here too, under their kind (``rate-limited``).
 - ``repro_auth_rounds_total`` / ``repro_auth_challenges_total`` —
   verification rounds completed / round nonces issued.
 - ``repro_auth_finalized_total`` / ``repro_auth_aborted_total`` /
@@ -40,7 +41,8 @@ service it drives):
 - ``repro_service_spot_pool_remaining{device_class}`` — unburned
   spot-check CRPs (sampled at scrape; skipped above 4096 devices).
 
-Round coalescer:
+Round coalescer (summed over the service's own coalescer and the one
+each :class:`~repro.service.net.AuthServer` serving it runs):
 
 - ``repro_coalescer_queue_depth`` (gauge),
   ``repro_coalescer_micro_round_size`` (histogram),

@@ -185,14 +185,16 @@ class ServiceObs:
     # -- binding ----------------------------------------------------------
 
     def bind(self, service: object) -> "ServiceObs":
-        """Attach to an ``AuthService``, its current verifier and its
-        coalescer; the service moves to the end of the bound list."""
+        """Attach to an ``AuthService``, its current verifier and every
+        coalescer built on it (its own and each serving transport's);
+        the service moves to the end of the bound list."""
         self._services = [bound for bound in self._services
                           if bound is not service]
         self._services.append(service)
         service._obs = self
         service.verifier._obs = self
-        service.coalescer._obs = self
+        for coalescer in service._coalescers:
+            coalescer._obs = self
         return self
 
     def set_incarnation(self, replica: int, incarnation: int) -> None:
@@ -203,12 +205,12 @@ class ServiceObs:
     def _collect(self) -> None:
         depth = submitted = micro = by_size = by_deadline = 0
         for service in self._services:
-            coalescer = service.coalescer
-            depth += coalescer.pending_count
-            submitted += coalescer.submitted
-            micro += coalescer.micro_rounds
-            by_size += coalescer.flushed_by_size
-            by_deadline += coalescer.flushed_by_deadline
+            counts = service._coalescer_counts()
+            depth += counts["pending_count"]
+            submitted += counts["submitted"]
+            micro += counts["micro_rounds"]
+            by_size += counts["flushed_by_size"]
+            by_deadline += counts["flushed_by_deadline"]
         if self._services:
             self.queue_depth.set(depth)
             self.submitted._set_total(submitted)

@@ -37,13 +37,23 @@ Wire format history
   negotiation), ``REJECT`` (taxonomy-coded transport refusal), and the
   generic ``REQUEST`` / ``RESULT`` verb envelopes.  Purely additive:
   every 1.0 frame encodes and decodes byte-identically under 1.1.
-* **1.2** (current) — adds the *admin verbs* ``metrics`` and ``trace``
+* **1.2** — adds the *admin verbs* ``metrics`` and ``trace``
   (:mod:`repro.obs` scrapes over the existing socket layer).  No new
   frame types: the verbs ride the 1.1 ``REQUEST`` / ``RESULT``
   envelopes, so the bump is only a capability gate — a server refuses
   the verbs on connections whose negotiated minor is below 2
   (``unsupported-version``), and every 1.1 frame still encodes and
   decodes byte-identically under 1.2.
+* **1.3** (current) — adds the *round form* of the ``finalize`` verb:
+  one ``REQUEST`` whose ``acks`` param lists a gateway round's
+  two-phase-commit acks as ``(device id, round token, verdict)``
+  triples (verdict ``finalize`` or ``abort``), answered by one
+  ``RESULT`` whose ``refused`` detail names each refused ack, in
+  request order, as ``(device id, reason, failure kind)``.  Another
+  capability gate on the existing envelopes: a server refuses the round
+  form on connections whose negotiated minor is below 3
+  (``unsupported-version``), where a client acks per device, and the
+  per-device ``finalize`` / ``abort`` frames are unchanged.
 
 The codec is table-driven: ``encode_message`` looks up each message
 class's prebuilt 5-byte header and field builder, and
@@ -85,7 +95,7 @@ from repro.utils.serialization import _decode_from, _pack_length
 
 MAGIC = b"RW"  # "repro wire"
 SCHEMA_MAJOR = 1
-SCHEMA_MINOR = 2
+SCHEMA_MINOR = 3
 
 _HEADER = struct.Struct(">2sBBB")
 

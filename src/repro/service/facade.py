@@ -73,6 +73,10 @@ from repro.utils.serialization import load_state, save_state
 
 DeviceLike = Union[str, FleetDevice]
 
+#: The running totals every :class:`RoundCoalescer` keeps.
+_COALESCER_TOTALS = ("submitted", "micro_rounds", "flushed_by_size",
+                     "flushed_by_deadline", "flushed_by_duplicate")
+
 
 @dataclass
 class AuthOutcome:
@@ -116,15 +120,15 @@ class AuthService:
         # Observability hook (repro.obs.ServiceObs via
         # instrument_service); None costs one attribute load per verb.
         self._obs = None
+        # Every live coalescer built on this service's trigger policy:
+        # its own, then one per transport serving it (see
+        # _coalescer_for), and the totals of those whose transport
+        # stopped.
+        self._coalescers: List[RoundCoalescer] = []
+        self._retired_totals = dict.fromkeys(_COALESCER_TOTALS, 0)
         # One coalescer for the service's life: it admits against
         # whichever registry is installed when a request arrives.
-        self.coalescer = RoundCoalescer(
-            lambda device_id: self.registry.record(device_id),
-            self._run_micro_round,
-            latency_budget_s=self.config.latency_budget_s,
-            max_batch=self.config.max_batch,
-            clock=self._clock,
-        )
+        self.coalescer = self._coalescer_for(self._run_micro_round)
         if verifier is None:
             verifier = BatchVerifier(
                 registry, seed=self.config.seed,
@@ -147,6 +151,56 @@ class AuthService:
         self.verifier = verifier
         if self._obs is not None:
             self._obs.bind(self)
+
+    def _coalescer_for(self, run_round: Callable[[List[tuple]], object],
+                       ) -> RoundCoalescer:
+        """A coalescer on this service's trigger policy that hands each
+        flushed batch to ``run_round``.
+
+        The service's own :attr:`coalescer` runs its micro-rounds in
+        process; :class:`repro.service.net.AuthServer` builds one that
+        scatters them over its connections.  Each admits against the
+        installed registry, and an instrumented service counts them all.
+        """
+        coalescer = RoundCoalescer(
+            lambda device_id: self.registry.record(device_id),
+            run_round,
+            latency_budget_s=self.config.latency_budget_s,
+            max_batch=self.config.max_batch,
+            clock=self._clock,
+        )
+        coalescer._obs = self._obs
+        self._coalescers.append(coalescer)
+        return coalescer
+
+    def _retire_coalescer(self, coalescer: RoundCoalescer) -> None:
+        """Drop a stopped transport's coalescer, keeping its totals: the
+        tickets it still queues died with the transport."""
+        self._coalescers.remove(coalescer)
+        for name in _COALESCER_TOTALS:
+            self._retired_totals[name] += getattr(coalescer, name)
+
+    def _coalescer_counts(self) -> Dict[str, int]:
+        """Queued tickets and running totals over every coalescer built
+        on this service, stopped transports' totals included."""
+        counts = dict(self._retired_totals, pending_count=0)
+        for coalescer in self._coalescers:
+            for name in counts:
+                counts[name] += getattr(coalescer, name)
+        return counts
+
+    def _policy_veto(self, device_id: str,
+                     ) -> Optional[AuthenticationFailure]:
+        """The policies' veto of one auth request, or ``None``.
+
+        Every path that admits a device into a round screens it here, so
+        an instrumented service counts each veto under its failure kind,
+        as a verified round counts its rejections.
+        """
+        failure = deny_reason(self.policies, device_id)
+        if failure is not None and self._obs is not None:
+            self._obs.on_result(failure.kind.value)
+        return failure
 
     # -- construction ------------------------------------------------------
 
@@ -309,7 +363,7 @@ class AuthService:
         denied: List[Tuple[str, AuthenticationFailure]] = []
         admitted: List[FleetDevice] = []
         for device in devices:
-            failure = deny_reason(self.policies, device.device_id)
+            failure = self._policy_veto(device.device_id)
             if failure is None:
                 admitted.append(device)
             else:
@@ -333,7 +387,7 @@ class AuthService:
         :meth:`poll`, or duplicate arrival).
         """
         device = self._resolve(device)
-        failure = deny_reason(self.policies, device.device_id)
+        failure = self._policy_veto(device.device_id)
         if failure is not None:
             ticket = CoalescedAuth(device.device_id)
             ticket.reject(str(failure), failure.kind.value)

@@ -56,7 +56,7 @@ from repro.service.net.stream import (
     read_frame,
     write_frame,
 )
-from repro.utils.serialization import encode_fields
+from repro.utils.serialization import decode_fields, encode_fields
 
 __all__ = ["AuthClient", "RemoteAuthError", "RemoteTicket"]
 
@@ -363,15 +363,17 @@ class AuthClient:
         :meth:`BatchVerifier.authenticate_fleet`) semantics: policy
         vetoes, respond, verify, confirm, finalize/abort — every message
         crossing the socket, one write per phase: ``open-round``, then
-        every RESPONSE with ``close-round``, then every ack.  Only the
+        every RESPONSE with ``close-round``, then the acks.  Only the
         devices that got a CHALLENGE respond; the server's policy vetoes
         land in the report with their kinds.  Each device checks its
         confirmation locally first; a device whose check fails is acked
         with ``abort``, the rest with ``finalize``, each fenced by its
-        round token.  The acks are pipelined in one write and their
-        results awaited in request order; the first refused ack then
-        raises :class:`RemoteAuthError`, so one refusal never leaves the
-        devices behind it unacked.
+        round token.  On wire 1.3 the acks travel as one round
+        ``finalize`` REQUEST, answered by one ``RESULT``; below 1.3 they
+        are pipelined per device in one write and their results awaited
+        in request order.  Either way the server applies every ack
+        before the first refused one raises :class:`RemoteAuthError`,
+        so one refusal never leaves the devices behind it unacked.
         """
         devices = list(devices)
         ids = [device.device_id for device in devices]
@@ -382,12 +384,13 @@ class AuthClient:
         report, confirmations = await self.verify_round_wire(
             [encode_message(message) for message in messages])
         by_id = {device.device_id: device for device in devices}
-        acks = []
+        # (device id, round token, verdict), in the order the server
+        # confirmed the devices: the order their RESPONSEs went out in.
+        acks: List[Tuple[str, bytes, str]] = []
         for device_id, mac in list(confirmations.items()):
             device = by_id.get(device_id)
             if device is None:
                 continue
-            token = {"round": nonces[device_id]}
             try:
                 device.confirm(mac, nonces[device_id])
             except AuthenticationFailure as failure:
@@ -396,12 +399,40 @@ class AuthClient:
                     AuthenticationFailure(f"confirmation: {failure}",
                                           failure.kind))
                 report.confirmations.pop(device_id, None)
-                acks.append(SessionRequest("abort", device_id, token))
+                acks.append((device_id, nonces[device_id], "abort"))
                 continue
-            acks.append(SessionRequest("finalize", device_id, token))
-        for result in await self._call_all(acks):
-            self._raise_if_failed(result)
+            acks.append((device_id, nonces[device_id], "finalize"))
+        await self._ack_round(acks)
         return report
+
+    async def _ack_round(self, acks: Sequence[Tuple[str, bytes, str]],
+                         ) -> None:
+        """Send a gateway round's acks; raise on the first refused one
+        once the server has applied them all."""
+        if not acks:
+            return
+        if self.negotiated_version[1] < 3:
+            for result in await self._call_all([
+                    SessionRequest(verdict, device_id, {"round": token})
+                    for device_id, token, verdict in acks]):
+                self._raise_if_failed(result)
+            return
+        result = await self._call("finalize", params={"acks": encode_fields(
+            [field for device_id, token, verdict in acks
+             for field in (device_id.encode("utf-8"), token,
+                           verdict.encode("utf-8"))])})
+        if "refused" in result.detail:
+            # (device id, reason, kind) per refused ack, in ack order.
+            try:
+                refused = decode_fields(result.detail["refused"])
+                reason, kind = refused[1], refused[2]
+            except (ValueError, IndexError) as exc:
+                raise RemoteAuthError(
+                    f"malformed finalize result: {exc}",
+                    FailureKind.MALFORMED) from exc
+            raise RemoteAuthError(reason.decode("utf-8", "replace"),
+                                  kind.decode("utf-8", "replace"))
+        self._raise_if_failed(result)
 
     # -- transport-level wire-round verbs (gateway mode) ------------------
 

@@ -16,12 +16,14 @@ the in-process service runs, built from the wrapped service's
 :class:`~repro.service.config.FleetConfig` (latency budget,
 ``max_batch``) and its injectable monotonic clock
 (:attr:`AuthService.clock`).  A served fleet therefore batches exactly
-like the in-process one, and stragglers still batch onto the hot
-stacked plane.  The server adds only what a socket needs: a retransmit
-of a device already pending on the same connection is dropped, queued
-requests count against the connection's read gate, and a flush-timer
-task sleeps until the coalescer's deadline and then polls it (while
-nothing is pending it waits on an event instead of polling).
+like the in-process one, stragglers still batch onto the hot stacked
+plane, and an instrumented service's coalescer metrics count the
+server's micro-rounds with its own.  The server adds only what a
+socket needs: a retransmit of a device already pending on the same
+connection is dropped, queued requests count against the connection's
+read gate, and a flush-timer task sleeps until the coalescer's deadline
+and then polls it (while nothing is pending it waits on an event
+instead of polling).
 
 A wire micro-round is the protocol's Fig. 4 exchange, scattered:
 
@@ -45,16 +47,22 @@ A wire micro-round is the protocol's Fig. 4 exchange, scattered:
 
 Gateway rounds
 --------------
-A gateway drives a whole device group on one connection, and its frame
-traffic grows with the round's phases, not its devices: ``open-round``
+A gateway drives a whole device group on one connection, and its write
+count grows with the round's phases, not its devices: ``open-round``
 answers with every ``CHALLENGE`` plus its ``RESULT`` in one write, and
 ``close-round`` with every ``CONFIRMATION`` plus the ``REPORT``.  The
-verb loop reads in bulk — every complete frame the socket delivered —
-dispatches those frames in order and writes the replies they produce
-together once they are done, so a gateway's pipelined ``finalize``
-acks get their ``RESULT`` frames back in one write too.  The service's
-policy vetoes screen every id ``open-round`` names: a vetoed device
-draws no nonce and gets the veto's failure ``RESULT`` in the
+round's acks travel in one frame (wire 1.3): a ``finalize`` REQUEST
+whose ``acks`` param lists ``(device id, round token, verdict)``
+triples, applied in order exactly as the per-device ``finalize`` /
+``abort`` verbs apply one ack each, and answered by one ``RESULT`` that
+names each refused ack with its reason and kind.  A connection
+negotiated below 1.3 is refused that form (``unsupported-version``) and
+acks per device.  The verb loop reads in bulk — every complete frame
+the socket delivered — dispatches those frames in order and writes the
+replies they produce together once they are done, so pipelined
+per-device acks get their ``RESULT`` frames back in one write too.  The
+service's policy vetoes screen every id ``open-round`` names: a vetoed
+device draws no nonce and gets the veto's failure ``RESULT`` in the
 ``open-round`` write instead of a ``CHALLENGE``.  Held replies
 go out early once they reach ``write_high_bytes``, before the loop
 waits on the backpressure gate, and before it closes a connection, so
@@ -86,7 +94,7 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.fleet.verifier import AuthResponse, RoundCoalescer
+from repro.fleet.verifier import AuthResponse
 from repro.obs.export import render_json, render_prometheus
 from repro.obs.instrument import RegistryBackedCounters
 from repro.obs.registry import MetricsRegistry
@@ -110,8 +118,8 @@ from repro.service.net.stream import (
     read_frame,
     write_frame,
 )
-from repro.service.policy import deny_reason, run_hooks
-from repro.utils.serialization import decode_fields
+from repro.service.policy import run_hooks
+from repro.utils.serialization import decode_fields, encode_fields
 
 __all__ = ["AuthServer", "NetConfig", "ServerMetrics"]
 
@@ -271,6 +279,29 @@ class _Connection:
             pass
 
 
+def _decode_acks(blob: bytes) -> List[Tuple[str, bytes, str]]:
+    """The ``acks`` param of a round ``finalize``: its ``(device id,
+    round token, verdict)`` triples, each verdict ``finalize`` or
+    ``abort``; ``malformed-message`` unless every entry is one."""
+    try:
+        fields = decode_fields(blob)
+        if len(fields) % 3:
+            raise ValueError(f"{len(fields)} fields do not form "
+                             "(id, token, verdict) triples")
+        acks = [(device_id.decode("utf-8"), token, verdict.decode("utf-8"))
+                for device_id, token, verdict
+                in zip(fields[0::3], fields[1::3], fields[2::3])]
+    except ValueError as exc:
+        raise AuthenticationFailure(f"malformed finalize acks: {exc}",
+                                    FailureKind.MALFORMED) from exc
+    for device_id, __, verdict in acks:
+        if verdict not in ("finalize", "abort"):
+            raise AuthenticationFailure(
+                f"malformed finalize acks: verdict {verdict!r} for "
+                f"device {device_id!r}", FailureKind.MALFORMED)
+    return acks
+
+
 #: One wire ``auth`` request, queued in the coalescer as its "device".
 _WireAuth = namedtuple("_WireAuth", "conn device_id")
 
@@ -343,13 +374,10 @@ class AuthServer:
         self.metrics = ServerMetrics(MetricsRegistry())
         self._obs = None
         self._clock = service.clock
-        # The registry is read per request: an HA promotion may swap it.
-        self._coalescer = RoundCoalescer(
-            lambda device_id: self.service.registry.record(device_id),
-            lambda batch: self._track(self._run_round(batch)),
-            latency_budget_s=service.config.latency_budget_s,
-            max_batch=service.config.max_batch, clock=service.clock,
-        )
+        # It admits against the registry installed at each request: an
+        # HA promotion may swap it.
+        self._coalescer = service._coalescer_for(
+            lambda batch: self._track(self._run_round(batch)))
         self._pending_set = asyncio.Event()
         self._conns: Set[_Connection] = set()
         self._handlers: Set[asyncio.Task] = set()
@@ -417,6 +445,7 @@ class AuthServer:
         if self._handlers:
             await asyncio.wait(list(self._handlers),
                                timeout=self.config.drain_timeout_s)
+        self.service._retire_coalescer(self._coalescer)
 
     async def kill(self) -> None:
         """Abrupt crash, for chaos testing: no drain, no final flush.
@@ -449,6 +478,7 @@ class AuthServer:
                 await self._server.wait_closed()
             except (ConnectionError, OSError):
                 pass
+        self.service._retire_coalescer(self._coalescer)
 
     # -- coalescing: the wire-specific parts around RoundCoalescer -------
 
@@ -493,8 +523,9 @@ class AuthServer:
         # The service's policy vetoes, as AuthService.submit applies
         # them: the verb loop answers with the veto's failure RESULT
         # before any nonce is drawn.
-        failure = deny_reason(self.service.policies, device_id)
+        failure = self.service._policy_veto(device_id)
         if failure is not None:
+            self.metrics.auths_failed += 1
             raise failure
         self._coalescer.submit(_WireAuth(conn, device_id))
         conn.queued += 1
@@ -868,10 +899,11 @@ class AuthServer:
             # the veto's failure RESULT in place of a CHALLENGE.
             admitted, vetoes = [], []
             for round_device in ids:
-                failure = deny_reason(self.service.policies, round_device)
+                failure = self.service._policy_veto(round_device)
                 if failure is None:
                     admitted.append(round_device)
                 else:
+                    self.metrics.auths_failed += 1
                     vetoes.append(encode_message(_failed(
                         "auth", round_device, str(failure),
                         failure.kind.value)))
@@ -902,20 +934,32 @@ class AuthServer:
                 conn.ack_pending.add(accepted_id)
             await conn.send(*confirmation_frames.values(), report_frame)
             return
-        if verb == "finalize":
-            # The "round" param (the challenge nonce) fences the ack to
-            # the round that earned it: a chaos-delayed or duplicated
-            # finalize must not commit a later pending session.
-            self.service.verifier.finalize(device_id,
-                                           token=params.get("round"))
-            conn.ack_pending.discard(device_id)
-            await conn.send_message(SessionResult("finalize", device_id))
+        if verb == "finalize" and "acks" in params:
+            # The round form (wire 1.3+): every ack of a gateway round in
+            # one frame, applied in order; the refused ones are named in
+            # the one RESULT, each with its reason and kind.
+            if conn.minor < 3:
+                raise AuthenticationFailure(
+                    "the round form of 'finalize' requires wire version "
+                    f">= 1.3 (negotiated 1.{conn.minor})",
+                    FailureKind.UNSUPPORTED_VERSION)
+            refused: List[bytes] = []
+            for acked_id, token, verdict in _decode_acks(params["acks"]):
+                try:
+                    self._apply_ack(conn, acked_id, token, verdict)
+                except AuthenticationFailure as failure:
+                    refused += (acked_id.encode("utf-8"),
+                                str(failure).encode("utf-8"),
+                                failure.kind.value.encode("utf-8"))
+            await conn.send_message(SessionResult(
+                "finalize", device_id, ok=not refused,
+                detail={"refused": encode_fields(refused)} if refused
+                else {}))
             return
-        if verb == "abort":
-            self.service.verifier.abort(device_id,
-                                        token=params.get("round"))
-            conn.ack_pending.discard(device_id)
-            await conn.send_message(SessionResult("abort", device_id))
+        if verb in ("finalize", "abort"):
+            # One device's ack: the round form's one-ack case.
+            self._apply_ack(conn, device_id, params.get("round"), verb)
+            await conn.send_message(SessionResult(verb, device_id))
             return
         if verb in ("metrics", "trace"):
             # Admin verbs, wire 1.2+.  Deliberately NOT in FENCED_VERBS:
@@ -949,6 +993,23 @@ class AuthServer:
             return
         raise AuthenticationFailure(f"unknown verb {verb!r}",
                                     FailureKind.MALFORMED)
+
+    def _apply_ack(self, conn: _Connection, device_id: str,
+                   token: Optional[bytes], verdict: str) -> None:
+        """Settle one device's two-phase commit with its ack.
+
+        ``verdict`` is ``finalize`` (roll) or ``abort``.  The token (the
+        round's challenge nonce) fences the ack to the round that earned
+        it: a chaos-delayed or duplicated ack must not settle a later
+        pending session, so the verifier ignores a stale one.  A refused
+        ack raises the verifier's failure and stays in ``ack_pending``,
+        so the connection's teardown still aborts it.
+        """
+        if verdict == "finalize":
+            self.service.verifier.finalize(device_id, token=token)
+        else:
+            self.service.verifier.abort(device_id, token=token)
+        conn.ack_pending.discard(device_id)
 
     def _metrics_registry(self):
         """The registry the ``metrics`` verb serves: the server's own

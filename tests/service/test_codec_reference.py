@@ -252,9 +252,10 @@ def test_loopback_gateway_round_frames_match_reference(monkeypatch):
     n = 4
     frames = loopback_round_frames(monkeypatch, n)
     # HELLO and WELCOME; from the client open-round, N RESPONSEs,
-    # close-round and N acks; from the server N CHALLENGEs and the
-    # open-round RESULT, N CONFIRMATIONs and the REPORT, N ack RESULTs.
-    assert len(frames) == 2 + (2 + 2 * n) + (2 + 3 * n)
+    # close-round and the one ack REQUEST; from the server N CHALLENGEs
+    # and the open-round RESULT, N CONFIRMATIONs and the REPORT, and
+    # the one ack RESULT.
+    assert len(frames) == 2 + (3 + n) + (3 + 2 * n)
     for frame in frames:
         message = reference.decode_message(frame)
         assert decode_message(frame) == message

@@ -39,7 +39,7 @@ class TestHandshake:
                 async with AuthClient.connect(
                         "127.0.0.1", server.port,
                         peer="unit-test-client") as client:
-                    assert client.negotiated_version == (1, 2)
+                    assert client.negotiated_version == (1, 3)
                     assert client.server_peer == "repro-auth-server"
             return server.metrics
         metrics = run(main())

@@ -55,11 +55,12 @@ def test_gateway_round_decodes_each_received_frame_once(monkeypatch,
     report = asyncio.run(main())
     n = n_devices
     assert report.n_accepted == n
-    # N RESPONSEs, N acks, open-round and close-round.
-    assert counts["server"] == 2 * n + 2
-    # N CHALLENGEs, N CONFIRMATIONs, N ack results, the open-round
-    # result and the REPORT.
-    assert counts["client"] == 3 * n + 2
+    # N RESPONSEs, open-round, close-round and the round's one ack
+    # REQUEST.
+    assert counts["server"] == n + 3
+    # N CHALLENGEs, N CONFIRMATIONs, the open-round result, the REPORT
+    # and the one ack result.
+    assert counts["client"] == 2 * n + 3
 
 
 def test_micro_round_decodes_each_received_frame_once(monkeypatch):
