@@ -44,7 +44,7 @@ Wire format history
   the verbs on connections whose negotiated minor is below 2
   (``unsupported-version``), and every 1.1 frame still encodes and
   decodes byte-identically under 1.2.
-* **1.3** (current) — adds the *round form* of the ``finalize`` verb:
+* **1.3** — adds the *round form* of the ``finalize`` verb:
   one ``REQUEST`` whose ``acks`` param lists a gateway round's
   two-phase-commit acks as ``(device id, round token, verdict)``
   triples (verdict ``finalize`` or ``abort``), answered by one
@@ -54,6 +54,20 @@ Wire format history
   form on connections whose negotiated minor is below 3
   (``unsupported-version``), where a client acks per device, and the
   per-device ``finalize`` / ``abort`` frames are unchanged.
+* **1.4** (current) — a gateway round travels in its three verb
+  frames.  The ``open-round`` ``RESULT`` carries the round's nonces as
+  ``(device id, nonce)`` pairs under ``nonces`` and its policy vetoes
+  as ``(device id, reason, failure kind)`` triples under ``vetoes``, in
+  place of one ``CHALLENGE`` per device and one failure ``RESULT`` per
+  veto; the ``close-round`` ``REQUEST`` carries every response as a
+  ``(device id, body, tag)`` triple under ``responses``, in place of
+  one ``RESPONSE`` per device, and is answered by the ``REPORT`` alone,
+  whose confirmations map replaces one ``CONFIRMATION`` per device.
+  The round ``finalize`` is that of 1.3.  A capability gate again: on a
+  connection negotiated below 4 a server answers ``open-round`` with
+  the per-device frames and refuses the ``responses`` param
+  (``unsupported-version``); micro-rounds keep their per-device frames
+  at every minor.
 
 The codec is table-driven: ``encode_message`` looks up each message
 class's prebuilt 5-byte header and field builder, and
@@ -95,7 +109,7 @@ from repro.utils.serialization import _decode_from, _pack_length
 
 MAGIC = b"RW"  # "repro wire"
 SCHEMA_MAJOR = 1
-SCHEMA_MINOR = 3
+SCHEMA_MINOR = 4
 
 _HEADER = struct.Struct(">2sBBB")
 

@@ -33,6 +33,7 @@ devices and verifier through the service.
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -76,6 +77,24 @@ DeviceLike = Union[str, FleetDevice]
 #: The running totals every :class:`RoundCoalescer` keeps.
 _COALESCER_TOTALS = ("submitted", "micro_rounds", "flushed_by_size",
                      "flushed_by_deadline", "flushed_by_duplicate")
+
+
+class _ConfirmationFrames(Mapping):
+    """``{device_id: CONFIRMATION frame}`` over a verified round's
+    confirmation MACs, each frame encoded when it is read."""
+
+    def __init__(self, macs: Dict[str, bytes]):
+        self._macs = dict(macs)
+
+    def __getitem__(self, device_id: str) -> bytes:
+        return encode_message(AuthConfirmation(device_id,
+                                               self._macs[device_id]))
+
+    def __iter__(self):
+        return iter(self._macs)
+
+    def __len__(self) -> int:
+        return len(self._macs)
 
 
 @dataclass
@@ -487,7 +506,7 @@ class AuthService:
     def verify_responses(self,
                          frames: Sequence[Union[bytes, AuthResponse]],
                          nonces: Dict[str, bytes],
-                         ) -> Tuple[BatchAuthReport, Dict[str, bytes]]:
+                         ) -> Tuple[BatchAuthReport, Mapping[str, bytes]]:
         """Verify device responses; ``(report, {device_id: confirmation
         frame})``.
 
@@ -498,7 +517,10 @@ class AuthService:
         than forward it (a served micro-round).  Frames that fail to
         decode as an ``AuthResponse`` raise
         :class:`~repro.service.codec.CodecError` — a transport must not
-        hand the protocol undecodable bytes.
+        hand the protocol undecodable bytes.  Each confirmation frame is
+        encoded when the mapping is read, so a transport that ships the
+        report's confirmations instead (a wire 1.4 gateway round)
+        encodes none.
         """
         messages: List[AuthResponse] = []
         for frame in frames:
@@ -516,11 +538,7 @@ class AuthService:
         run_hooks(self.policies, "after_round", report)
         if obs is not None:
             obs.on_round(report, self._clock() - started, "wire")
-        confirmations = {
-            device_id: encode_message(AuthConfirmation(device_id, mac))
-            for device_id, mac in report.confirmations.items()
-        }
-        return report, confirmations
+        return report, _ConfirmationFrames(report.confirmations)
 
     # -- persistence -------------------------------------------------------
 
@@ -547,7 +565,8 @@ class AuthService:
         dropped as stale at that message).
         Coalescer tickets stay queued and settle at the next flush,
         screened against the restored registry (a device it does not
-        know settles ``not-enrolled``); the coalescer takes the restored
+        know settles ``not-enrolled``); every coalescer built on the
+        service, a serving transport's included, takes the restored
         config's latency budget and ``max_batch``.  Devices enrolled
         *after* the snapshot are dropped from the service's fleet view —
         the restored registry no longer knows them, and one stray
@@ -577,8 +596,9 @@ class AuthService:
                 and hasattr(registry.backend, "resident_records"):
             registry.backend.resident_records = int(config.resident_records)
         self.config = config
-        self.coalescer.latency_budget_s = float(config.latency_budget_s)
-        self.coalescer.max_batch = int(config.max_batch)
+        for coalescer in self._coalescers:
+            coalescer.latency_budget_s = float(config.latency_budget_s)
+            coalescer.max_batch = int(config.max_batch)
         self._devices = {
             device_id: device
             for device_id, device in self._devices.items()

@@ -21,6 +21,21 @@ PUF never crosses the wire; only masked responses do) and correlates
 closes the protocol's two-phase commit from this side: the device rolls
 its CRP only after the verifier's confirmation MAC checks out, and the
 verifier rolls only after this client's ``finalize`` ack.
+
+Gateway rounds
+--------------
+:meth:`AuthClient.authenticate_batch` runs one explicit round for a
+device group held by this side, in three REQUEST/answer pairs on wire
+1.4 whatever the group's size: ``open-round``, whose ``RESULT`` carries
+the round's ``(device id, nonce)`` pairs and policy vetoes; then
+``close-round``, carrying every response as a ``(device id, body,
+tag)`` row, whose one answer is the ``REPORT`` with the round's
+confirmations; then the round ``finalize`` of wire 1.3, whose ``acks``
+go out in the order the responses did.  Each device still checks its
+own confirmation (``FleetDevice.confirm``) before its ack.  On a
+connection negotiated below 1.4 the same calls exchange the per-device
+``CHALLENGE``, ``RESPONSE`` and ``CONFIRMATION`` frames, byte for byte
+as a 1.3 client did, and below 1.3 the acks go per device.
 """
 
 from __future__ import annotations
@@ -28,12 +43,13 @@ from __future__ import annotations
 import asyncio
 import json
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.fleet.rounds import respond_round
 from repro.fleet.verifier import (
+    AuthResponse,
     BatchAuthReport,
     FleetDevice,
 )
@@ -74,6 +90,24 @@ class RemoteAuthError(AuthenticationFailure):
         super().__init__(message, kind)
 
 
+def _refusal(result: SessionResult) -> RemoteAuthError:
+    """A failure ``RESULT`` as the error it reports."""
+    reason = result.detail.get("failure", b"").decode(
+        "utf-8", "replace") or f"{result.verb} failed"
+    kind = result.detail.get("kind", b"").decode("utf-8", "replace")
+    return RemoteAuthError(reason, kind)
+
+
+def _as_response(frame: Union[bytes, AuthResponse]) -> AuthResponse:
+    """A decoded response: ``frame`` itself, or the RESPONSE it frames."""
+    message = frame if isinstance(frame, AuthResponse) \
+        else decode_message(frame)
+    if not isinstance(message, AuthResponse):
+        raise CodecError(f"expected a RESPONSE frame, got "
+                         f"{type(message).__name__}")
+    return message
+
+
 class RemoteTicket:
     """The pending/settled outcome of one remote coalesced auth —
     the wire twin of :class:`repro.fleet.verifier.CoalescedAuth`."""
@@ -111,11 +145,31 @@ class _ClientRound:
         self.expected = set(device_ids)
         self.nonces: Dict[str, bytes] = {}
         # Devices the server's policies vetoed at open-round, with the
-        # veto (they get no CHALLENGE).
+        # veto (they get no nonce).
         self.vetoes: Dict[str, RemoteAuthError] = {}
         self.confirmations: Dict[str, bytes] = {}
         self.report: asyncio.Future = \
             asyncio.get_running_loop().create_future()
+
+    def opened(self, detail) -> None:
+        """Read a wire 1.4 ``open-round`` RESULT: its ``(device id,
+        nonce)`` pairs and ``(device id, reason, kind)`` vetoes."""
+        try:
+            pairs = decode_fields(detail.get("nonces", b""))
+            vetoes = decode_fields(detail.get("vetoes", b""))
+            if len(pairs) % 2 or len(vetoes) % 3:
+                raise ValueError("nonces or vetoes do not form whole rows")
+            self.nonces = dict(zip(
+                [raw.decode("utf-8") for raw in pairs[0::2]], pairs[1::2]))
+            self.vetoes = {
+                device_id.decode("utf-8"): RemoteAuthError(
+                    reason.decode("utf-8", "replace"),
+                    kind.decode("utf-8", "replace"))
+                for device_id, reason, kind
+                in zip(vetoes[0::3], vetoes[1::3], vetoes[2::3])}
+        except ValueError as exc:
+            raise RemoteAuthError(f"malformed open-round result: {exc}",
+                                  FailureKind.MALFORMED) from exc
 
 
 class _Connector:
@@ -363,17 +417,18 @@ class AuthClient:
         :meth:`BatchVerifier.authenticate_fleet`) semantics: policy
         vetoes, respond, verify, confirm, finalize/abort — every message
         crossing the socket, one write per phase: ``open-round``, then
-        every RESPONSE with ``close-round``, then the acks.  Only the
-        devices that got a CHALLENGE respond; the server's policy vetoes
+        the responses with ``close-round``, then the acks.  Only the
+        devices that got a nonce respond; the server's policy vetoes
         land in the report with their kinds.  Each device checks its
         confirmation locally first; a device whose check fails is acked
         with ``abort``, the rest with ``finalize``, each fenced by its
-        round token.  On wire 1.3 the acks travel as one round
-        ``finalize`` REQUEST, answered by one ``RESULT``; below 1.3 they
-        are pipelined per device in one write and their results awaited
-        in request order.  Either way the server applies every ack
-        before the first refused one raises :class:`RemoteAuthError`,
-        so one refusal never leaves the devices behind it unacked.
+        round token, in the order the responses went out.  On wire 1.3
+        and later the acks travel as one round ``finalize`` REQUEST,
+        answered by one ``RESULT``; below 1.3 they are pipelined per
+        device in one write and their results awaited in request order.
+        Either way the server applies every ack before the first refused
+        one raises :class:`RemoteAuthError`, so one refusal never leaves
+        the devices behind it unacked.
         """
         devices = list(devices)
         ids = [device.device_id for device in devices]
@@ -381,16 +436,17 @@ class AuthClient:
         messages = respond_round(
             [device for device in devices if device.device_id in nonces],
             nonces)
-        report, confirmations = await self.verify_round_wire(
-            [encode_message(message) for message in messages])
+        report, confirmations = await self.verify_round_wire(messages)
         by_id = {device.device_id: device for device in devices}
-        # (device id, round token, verdict), in the order the server
-        # confirmed the devices: the order their RESPONSEs went out in.
+        # (device id, round token, verdict), in the order the responses
+        # went out: the order the server confirmed the devices in.
         acks: List[Tuple[str, bytes, str]] = []
-        for device_id, mac in list(confirmations.items()):
-            device = by_id.get(device_id)
-            if device is None:
+        for device_id in dict.fromkeys(message.device_id
+                                       for message in messages):
+            mac = confirmations.get(device_id)
+            if mac is None:
                 continue
+            device = by_id[device_id]
             try:
                 device.confirm(mac, nonces[device_id])
             except AuthenticationFailure as failure:
@@ -442,6 +498,9 @@ class AuthClient:
 
         A device the server's policies veto gets no nonce;
         :meth:`verify_round_wire` records its veto in the round report.
+        On wire 1.4 the nonces and vetoes arrive inside the
+        ``open-round`` RESULT; below it, as ``CHALLENGE`` frames and
+        failure ``RESULT`` frames ahead of it.
         """
         if self._round is not None:
             raise RemoteAuthError("a gateway round is already open",
@@ -457,31 +516,57 @@ class AuthClient:
                 "ids": encode_fields([device_id.encode("utf-8")
                                       for device_id in device_ids])})
             self._raise_if_failed(result)
+            if self.negotiated_version[1] >= 4:
+                round_.opened(result.detail)
         except BaseException:
             self._round = None
             raise
-        # Server FIFO: every CHALLENGE precedes the open-round RESULT.
+        # Below 1.4, server FIFO: every CHALLENGE precedes the
+        # open-round RESULT.
         return dict(round_.nonces)
 
     async def verify_round_wire(
-            self, frames: Sequence[bytes],
+            self, frames: Sequence[Union[bytes, AuthResponse]],
     ) -> Tuple[BatchAuthReport, Dict[str, bytes]]:
-        """Ship RESPONSE frames, close the round; returns
-        ``(report, {device_id: confirmation mac})``, the report holding
-        the open-round policy vetoes too."""
+        """Ship the responses, close the round; returns ``(report,
+        {device_id: confirmation mac})``, the report holding the
+        open-round policy vetoes too.
+
+        Each of ``frames`` is a RESPONSE frame or a decoded
+        :class:`~repro.fleet.verifier.AuthResponse`, as
+        :meth:`AuthService.verify_responses` takes them.  On wire 1.4
+        they travel as ``(device id, body, tag)`` rows of the
+        ``close-round`` REQUEST and the confirmations are the
+        ``REPORT``'s; below it, as ``RESPONSE`` frames ahead of the
+        REQUEST, answered by one ``CONFIRMATION`` per accepted device.
+        """
         round_ = self._round
         if round_ is None:
             raise RemoteAuthError("no gateway round open",
                                   FailureKind.NO_SESSION)
+        framed = self.negotiated_version[1] < 4
         try:
-            await self._send_frames(
-                *frames, encode_message(SessionRequest("close-round")))
+            if framed:
+                await self._send_frames(
+                    *[encode_message(frame)
+                      if isinstance(frame, AuthResponse) else frame
+                      for frame in frames],
+                    encode_message(SessionRequest("close-round")))
+            else:
+                await self._send(SessionRequest("close-round", params={
+                    "responses": encode_fields([
+                        field for response in map(_as_response, frames)
+                        for field in (response.device_id.encode("utf-8"),
+                                      bytes(response.body),
+                                      bytes(response.tag))])}))
             report = await asyncio.wait_for(round_.report, self._timeout)
         finally:
             self._round = None
+        confirmations = dict(round_.confirmations if framed
+                             else report.confirmations)
         for device_id, veto in round_.vetoes.items():
             report.record_failure(device_id, veto)
-        return report, dict(round_.confirmations)
+        return report, confirmations
 
     async def finalize(self, device_id: str,
                        token: Optional[bytes] = None) -> None:
@@ -566,10 +651,7 @@ class AuthClient:
     @staticmethod
     def _raise_if_failed(result: SessionResult) -> None:
         if not result.ok:
-            reason = result.detail.get("failure", b"").decode(
-                "utf-8", "replace") or f"{result.verb} failed"
-            kind = result.detail.get("kind", b"").decode("utf-8", "replace")
-            raise RemoteAuthError(reason, kind)
+            raise _refusal(result)
 
     def _fail_all(self, error: AuthenticationFailure) -> None:
         self._close_error = self._close_error or error
@@ -678,6 +760,11 @@ class AuthClient:
         self._finish_ticket(ticket, True)
 
     def _on_result(self, result: SessionResult) -> None:
+        if result.verb == "close-round":
+            # A refused close-round: its REPORT will never come.
+            if self._round is not None and not self._round.report.done():
+                self._round.report.set_exception(_refusal(result))
+            return
         if result.verb == "auth":
             failure = result.detail.get("failure", b"").decode("utf-8",
                                                                "replace")

@@ -47,33 +47,52 @@ A wire micro-round is the protocol's Fig. 4 exchange, scattered:
 
 Gateway rounds
 --------------
-A gateway drives a whole device group on one connection, and its write
-count grows with the round's phases, not its devices: ``open-round``
-answers with every ``CHALLENGE`` plus its ``RESULT`` in one write, and
-``close-round`` with every ``CONFIRMATION`` plus the ``REPORT``.  The
-round's acks travel in one frame (wire 1.3): a ``finalize`` REQUEST
-whose ``acks`` param lists ``(device id, round token, verdict)``
-triples, applied in order exactly as the per-device ``finalize`` /
-``abort`` verbs apply one ack each, and answered by one ``RESULT`` that
-names each refused ack with its reason and kind.  A connection
-negotiated below 1.3 is refused that form (``unsupported-version``) and
-acks per device.  The verb loop reads in bulk — every complete frame
-the socket delivered — dispatches those frames in order and writes the
-replies they produce together once they are done, so pipelined
-per-device acks get their ``RESULT`` frames back in one write too.  The
-service's policy vetoes screen every id ``open-round`` names: a vetoed
-device draws no nonce and gets the veto's failure ``RESULT`` in the
-``open-round`` write instead of a ``CHALLENGE``.  Held replies
-go out early once they reach ``write_high_bytes``, before the loop
-waits on the backpressure gate, and before it closes a connection, so
-a ``REJECT`` and the replies ahead of it still arrive.
+A gateway drives a whole device group on one connection, and on wire
+1.4 a round is three REQUEST/answer pairs whatever its size.  The
+``open-round`` ``RESULT`` carries the round's nonces as ``(device id,
+nonce)`` pairs and its policy vetoes as ``(device id, reason, kind)``
+triples: the service's vetoes screen every id the request names, and a
+vetoed device draws no nonce.  The ``close-round`` REQUEST carries
+every response as a ``(device id, body, tag)`` triple, and its one
+answer is the ``REPORT``, whose confirmations map holds the round's
+confirmations; each accepted session is exposed and awaits its ack
+before the ``REPORT`` is written.  The round's acks travel in one frame
+(wire 1.3): a ``finalize`` REQUEST whose ``acks`` param lists
+``(device id, round token, verdict)`` triples, applied in order exactly
+as the per-device ``finalize`` / ``abort`` verbs apply one ack each,
+and answered by one ``RESULT`` that names each refused ack with its
+reason and kind.  The server encodes no ``CHALLENGE`` or
+``CONFIRMATION`` frame for a 1.4 round.  A connection negotiated below
+1.4 gets the per-device frames instead, byte for byte: ``open-round``
+answers with every ``CHALLENGE`` and every veto's failure ``RESULT``
+ahead of its own ``RESULT`` in one write, the responses arrive as
+``RESPONSE`` frames, ``close-round`` answers with every
+``CONFIRMATION`` plus the ``REPORT``, and the ``responses`` param is
+refused (``unsupported-version``); below 1.3 the round ``finalize`` is
+refused too, and the gateway acks per device.  The verb loop reads in
+bulk — every complete frame the socket delivered — dispatches those
+frames in order and writes the replies they produce together once they
+are done, so pipelined per-device acks get their ``RESULT`` frames back
+in one write too.  Held replies go out early once they reach
+``write_high_bytes``, before the loop waits on the backpressure gate,
+and before it closes a connection, so a ``REJECT`` and the replies
+ahead of it still arrive.
 
 Isolation and flow control
 --------------------------
 Hostile sockets never poison a round: malformed frames get a
-taxonomy-coded ``REJECT`` and only *that* connection closes; truncated
-frames and slow-loris trickles time out per-socket (the guards of
-:mod:`repro.service.net.stream` hold for every frame of a bulk read);
+taxonomy-coded ``REJECT`` and only *that* connection closes.  A verb
+param that does not parse (``ids``, ``responses`` or ``acks`` rows
+that are not whole rows or lead with a non-UTF-8 id, more responses
+than a round's frame bound, a non-numeric or non-positive spot ``k``,
+a missing or short ``spot-submit`` measurement) is refused whole with
+a ``malformed-message`` failure ``RESULT`` before any protocol state
+changes, and the connection keeps serving.  A ``close-round`` ends the
+connection's round whatever its answer, so a refused one leaves the
+round's devices unverified and the next round free to open.
+Truncated frames and slow-loris trickles time out per-socket (the
+guards of :mod:`repro.service.net.stream` hold for every frame of a
+bulk read);
 a device that never answers its challenge is settled as failed while
 the rest of its micro-round completes.  Per-connection flow control is
 two-sided: reads pause above ``pending_high`` queued-but-unflushed
@@ -190,7 +209,8 @@ class ServerMetrics(RegistryBackedCounters):
         "flushed_by_duplicate": "Micro-rounds flushed by duplicate device",
         "retransmits_dropped": "Idempotent re-submits dropped",
         "auths_accepted": "Confirmations delivered",
-        "auths_failed": "Failure RESULT frames sent",
+        "auths_failed": "Failed auths answered: failure RESULTs and "
+                        "open-round veto rows",
         "responses_timed_out": "Devices silent past response_timeout_s",
         "acks_aborted": "Unacked confirmations aborted (ambiguous)",
         "reads_paused": "Backpressure gate closures",
@@ -279,27 +299,51 @@ class _Connection:
             pass
 
 
+def _malformed(what: str, problem) -> AuthenticationFailure:
+    return AuthenticationFailure(f"malformed {what}: {problem}",
+                                 FailureKind.MALFORMED)
+
+
+def _decode_rows(blob: bytes, width: int, what: str) -> List[tuple]:
+    """A verb param holding :func:`encode_fields` of ``width``-field
+    rows, each led by a UTF-8 device id: the rows, ids decoded;
+    ``malformed-message`` unless the whole param is such rows."""
+    try:
+        fields = decode_fields(blob)
+        if len(fields) % width:
+            raise ValueError(f"{len(fields)} fields do not form rows "
+                             f"of {width}")
+        ids = [raw.decode("utf-8") for raw in fields[0::width]]
+    except ValueError as exc:
+        raise _malformed(what, exc) from exc
+    return list(zip(ids, *(fields[column::width]
+                           for column in range(1, width))))
+
+
 def _decode_acks(blob: bytes) -> List[Tuple[str, bytes, str]]:
     """The ``acks`` param of a round ``finalize``: its ``(device id,
     round token, verdict)`` triples, each verdict ``finalize`` or
     ``abort``; ``malformed-message`` unless every entry is one."""
-    try:
-        fields = decode_fields(blob)
-        if len(fields) % 3:
-            raise ValueError(f"{len(fields)} fields do not form "
-                             "(id, token, verdict) triples")
-        acks = [(device_id.decode("utf-8"), token, verdict.decode("utf-8"))
-                for device_id, token, verdict
-                in zip(fields[0::3], fields[1::3], fields[2::3])]
-    except ValueError as exc:
-        raise AuthenticationFailure(f"malformed finalize acks: {exc}",
-                                    FailureKind.MALFORMED) from exc
+    acks = _decode_rows(blob, 3, "finalize acks")
     for device_id, __, verdict in acks:
-        if verdict not in ("finalize", "abort"):
-            raise AuthenticationFailure(
-                f"malformed finalize acks: verdict {verdict!r} for "
-                f"device {device_id!r}", FailureKind.MALFORMED)
-    return acks
+        if verdict not in (b"finalize", b"abort"):
+            raise _malformed("finalize acks", f"verdict {verdict!r} for "
+                             f"device {device_id!r}")
+    return [(device_id, token, verdict.decode("ascii"))
+            for device_id, token, verdict in acks]
+
+
+def _spot_params(params) -> Tuple[int, float]:
+    """``spot``'s ``(k, threshold)``; ``malformed-message`` unless ``k``
+    is a positive integer and ``threshold`` a number."""
+    try:
+        k = int(params.get("k", b"8"))
+        threshold = float(params.get("threshold", b"0.25"))
+    except ValueError as exc:
+        raise _malformed("spot request", exc) from exc
+    if k < 1:
+        raise _malformed("spot request", f"k={k} spot CRPs")
+    return k, threshold
 
 
 #: One wire ``auth`` request, queued in the coalescer as its "device".
@@ -337,8 +381,10 @@ class _ExplicitRound:
     def __init__(self, nonces: Dict[str, bytes]):
         self.nonces = nonces
         self.responses: List[AuthResponse] = []   # decoded, in order
-        # A hostile gateway may stuff unboundedly many frames into one
-        # round; past this the connection is rejected, not the round.
+        # A hostile gateway may stuff unboundedly many responses into
+        # one round: past this many RESPONSE frames the connection is
+        # rejected, and a close-round whose responses param would pass
+        # it is refused whole.
         self.max_frames = max(64, 4 * len(nonces))
 
 
@@ -858,8 +904,7 @@ class AuthServer:
             await conn.send_message(SessionResult("revoke", device_id))
             return
         if verb == "spot":
-            k = int(params.get("k", b"8"))
-            threshold = float(params.get("threshold", b"0.25"))
+            k, threshold = _spot_params(params)
             challenges, expected = self.service.verifier.open_spot_check(
                 device_id, k)
             conn.spot_pending[device_id] = (expected, threshold)
@@ -870,17 +915,21 @@ class AuthServer:
                         "cols": str(challenges.shape[1]).encode()}))
             return
         if verb == "spot-submit":
-            stash = conn.spot_pending.pop(device_id, None)
+            stash = conn.spot_pending.get(device_id)
             if stash is None:
                 raise AuthenticationFailure(
                     f"no spot check open for device {device_id!r}",
                     FailureKind.NO_SESSION)
             expected, threshold = stash
-            fresh = np.frombuffer(params["responses"],
-                                  dtype=np.uint8).reshape(expected.shape[0],
-                                                          -1)
+            fresh = params.get("responses")
+            if fresh is None or len(fresh) != expected.size:
+                raise _malformed(
+                    "spot-submit", f"{expected.size} response bits "
+                    f"expected, got {None if fresh is None else len(fresh)}")
+            del conn.spot_pending[device_id]
             distance, accepted = self.service.verifier.close_spot_check(
-                expected, fresh, threshold)
+                expected, np.frombuffer(fresh, dtype=np.uint8).reshape(
+                    expected.shape), threshold)
             await conn.send_message(SessionResult(
                 "spot-submit", device_id,
                 detail={"hd": repr(distance).encode(),
@@ -892,11 +941,10 @@ class AuthServer:
                 raise AuthenticationFailure(
                     "a gateway round is already open on this connection",
                     FailureKind.SESSION_MISMATCH)
-            ids = [raw.decode("utf-8")
-                   for raw in decode_fields(params.get("ids", b""))]
+            ids = [round_device for round_device, in _decode_rows(
+                params.get("ids", b""), 1, "open-round ids")]
             # The service's policy vetoes, as authenticate_batch applies
-            # them: a vetoed device draws no nonce and is answered with
-            # the veto's failure RESULT in place of a CHALLENGE.
+            # them: a vetoed device draws no nonce.
             admitted, vetoes = [], []
             for round_device in ids:
                 failure = self.service._policy_veto(round_device)
@@ -904,35 +952,77 @@ class AuthServer:
                     admitted.append(round_device)
                 else:
                     self.metrics.auths_failed += 1
-                    vetoes.append(encode_message(_failed(
-                        "auth", round_device, str(failure),
-                        failure.kind.value)))
+                    vetoes.append((round_device, failure))
+            if conn.minor >= 4:
+                # Wire 1.4: the nonces and the vetoes ride the RESULT.
+                nonces = self.service.verifier.open_round(admitted)
+                conn.explicit = _ExplicitRound(nonces)
+                detail = {"count": str(len(nonces)).encode()}
+                detail["nonces"] = encode_fields([
+                    field for round_device, nonce in nonces.items()
+                    for field in (round_device.encode("utf-8"), nonce)])
+                if vetoes:
+                    detail["vetoes"] = encode_fields([
+                        field for round_device, failure in vetoes
+                        for field in (round_device.encode("utf-8"),
+                                      str(failure).encode("utf-8"),
+                                      failure.kind.value.encode("utf-8"))])
+                await conn.send_message(SessionResult("open-round",
+                                                      detail=detail))
+                return
+            # Below 1.4: a CHALLENGE per admitted device and the veto's
+            # failure RESULT per vetoed one, ahead of the RESULT.
             nonces, challenge_frames = self.service.open_round_wire(admitted)
             conn.explicit = _ExplicitRound(nonces)
             await conn.send(
                 *[challenge_frames[round_device] for round_device in nonces],
-                *vetoes,
+                *[encode_message(_failed("auth", round_device, str(failure),
+                                         failure.kind.value))
+                  for round_device, failure in vetoes],
                 encode_message(SessionResult(
                     "open-round",
                     detail={"count": str(len(nonces)).encode()})))
             return
         if verb == "close-round":
-            explicit = conn.explicit
+            # The request ends the round whatever its answer: a gateway
+            # whose close-round is refused drops its side of the round
+            # too, and may open the next one.
+            explicit, conn.explicit = conn.explicit, None
             if explicit is None:
                 raise AuthenticationFailure(
                     "no gateway round open on this connection",
                     FailureKind.NO_SESSION)
-            conn.explicit = None
-            report_frame, confirmation_frames = \
-                self.service.verify_round_wire(explicit.responses,
-                                               explicit.nonces)
-            for accepted_id in confirmation_frames:
+            responses = explicit.responses
+            if "responses" in params:
+                # Wire 1.4: every response as a (device id, body, tag)
+                # row, after any RESPONSE frames the round got.
+                if conn.minor < 4:
+                    raise AuthenticationFailure(
+                        "the 'responses' param of 'close-round' requires "
+                        f"wire version >= 1.4 (negotiated 1.{conn.minor})",
+                        FailureKind.UNSUPPORTED_VERSION)
+                rows = _decode_rows(params["responses"], 3,
+                                    "close-round responses")
+                if len(responses) + len(rows) > explicit.max_frames:
+                    raise _malformed(
+                        "close-round responses", f"{len(rows)} responses "
+                        f"for a round of {len(explicit.nonces)} nonces")
+                responses = responses + [AuthResponse(*row) for row in rows]
+            report, confirmation_frames = self.service.verify_responses(
+                responses, explicit.nonces)
+            for accepted_id in report.confirmations:
                 # Expose and await the ack before the frames are written,
                 # as a micro-round does: a connection that dies from here
                 # on aborts these sessions (ambiguously) on teardown.
                 self.service.verifier.expose(accepted_id)
                 conn.ack_pending.add(accepted_id)
-            await conn.send(*confirmation_frames.values(), report_frame)
+            if conn.minor >= 4:
+                # The REPORT's confirmations map is the round's
+                # confirmations: no CONFIRMATION frame repeats one.
+                await conn.send_message(report)
+            else:
+                await conn.send(*confirmation_frames.values(),
+                                encode_message(report))
             return
         if verb == "finalize" and "acks" in params:
             # The round form (wire 1.3+): every ack of a gateway round in
@@ -971,19 +1061,18 @@ class AuthServer:
                     f"(negotiated 1.{conn.minor})",
                     FailureKind.UNSUPPORTED_VERSION)
             if verb == "metrics":
-                fmt = params.get("format", b"prometheus").decode("utf-8")
-                snapshot = self._metrics_registry().snapshot()
-                if fmt == "prometheus":
-                    body = render_prometheus(snapshot)
-                elif fmt == "json":
-                    body = render_json(snapshot)
-                else:
+                fmt = params.get("format", b"prometheus")
+                if fmt not in (b"prometheus", b"json"):
                     raise AuthenticationFailure(
-                        f"unknown metrics format {fmt!r}",
+                        "unknown metrics format "
+                        f"{fmt.decode('utf-8', 'replace')!r}",
                         FailureKind.MALFORMED)
+                snapshot = self._metrics_registry().snapshot()
+                body = (render_prometheus(snapshot) if fmt == b"prometheus"
+                        else render_json(snapshot))
                 await conn.send_message(SessionResult(
                     "metrics", detail={"body": body.encode("utf-8"),
-                                       "format": fmt.encode("utf-8")}))
+                                       "format": fmt}))
                 return
             obs = getattr(self.service, "_obs", None)
             tracer = getattr(obs, "tracer", None)

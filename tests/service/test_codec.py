@@ -221,13 +221,15 @@ class TestSessionFrames:
             assert encode_message(decoded) == frame
 
     def test_minor_version_bumped_additively(self):
-        # 1.1 added the session frame types; 1.2 and 1.3 are documented
-        # minor bumps that add only verbs on the existing REQUEST/RESULT
-        # envelopes (the metrics/trace admin verbs, the round form of
-        # finalize) — same major, no new frame types.
+        # 1.1 added the session frame types; 1.2, 1.3 and 1.4 are
+        # documented minor bumps that add only verbs and params on the
+        # existing REQUEST/RESULT envelopes (the metrics/trace admin
+        # verbs, the round form of finalize, a gateway round's nonces,
+        # responses and confirmations in its verb frames) — same major,
+        # no new frame types.
         from repro.service import SCHEMA_MINOR
         assert SCHEMA_MAJOR == 1
-        assert SCHEMA_MINOR == 3
+        assert SCHEMA_MINOR == 4
         for wire_type in ("HELLO", "WELCOME", "REJECT", "REQUEST",
                           "RESULT"):
             assert hasattr(WireType, wire_type)

@@ -12,6 +12,7 @@ round writes on both sides go through the same checks.
 """
 
 import asyncio
+import functools
 import struct
 
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from repro.fleet.verifier import AuthResponse, BatchAuthReport
 from repro.service import (
     MAGIC,
+    SCHEMA_MINOR,
     AuthChallenge,
     AuthConfirmation,
     AuthService,
@@ -222,9 +224,12 @@ class TestFieldCodec:
                 outcome(reference.encode_fields, fields)
 
 
-def loopback_round_frames(monkeypatch, n_devices: int = 4) -> list:
+def loopback_round_frames(monkeypatch, n_devices: int = 4,
+                          minor: int = SCHEMA_MINOR) -> list:
     """Every frame both sides hand ``write_frame`` in one gateway round
-    (handshake included)."""
+    (handshake included), the client's HELLO advertising ``1.minor``."""
+    monkeypatch.setattr(client_mod, "SessionHello",
+                        functools.partial(SessionHello, minor=minor))
     written = []
     for module in (server_mod, client_mod):
         original = module.write_frame
@@ -248,14 +253,7 @@ def loopback_round_frames(monkeypatch, n_devices: int = 4) -> list:
     return written
 
 
-def test_loopback_gateway_round_frames_match_reference(monkeypatch):
-    n = 4
-    frames = loopback_round_frames(monkeypatch, n)
-    # HELLO and WELCOME; from the client open-round, N RESPONSEs,
-    # close-round and the one ack REQUEST; from the server N CHALLENGEs
-    # and the open-round RESULT, N CONFIRMATIONs and the REPORT, and
-    # the one ack RESULT.
-    assert len(frames) == 2 + (3 + n) + (3 + 2 * n)
+def assert_frames_match_reference(frames) -> None:
     for frame in frames:
         message = reference.decode_message(frame)
         assert decode_message(frame) == message
@@ -270,3 +268,24 @@ def test_loopback_gateway_round_frames_match_reference(monkeypatch):
             (length,) = struct.unpack_from(">I", frame, 5)
             assert_decodes_alike(frame[:5] + struct.pack(">I", length + 1)
                                  + frame[9:])
+
+
+def test_loopback_gateway_round_frames_match_reference(monkeypatch):
+    n = 4
+    frames = loopback_round_frames(monkeypatch, n, minor=3)
+    # HELLO and WELCOME; from the client open-round, N RESPONSEs,
+    # close-round and the one ack REQUEST; from the server N CHALLENGEs
+    # and the open-round RESULT, N CONFIRMATIONs and the REPORT, and
+    # the one ack RESULT.
+    assert len(frames) == 2 + (3 + n) + (3 + 2 * n)
+    assert_frames_match_reference(frames)
+
+
+def test_loopback_wire_1_4_round_frames_match_reference(monkeypatch):
+    frames = loopback_round_frames(monkeypatch, 4)
+    # HELLO and WELCOME; from the client open-round, close-round (every
+    # response) and the one ack REQUEST; from the server the open-round
+    # RESULT (every nonce), the REPORT (every confirmation) and the one
+    # ack RESULT.
+    assert len(frames) == 2 + 3 + 3
+    assert_frames_match_reference(frames)

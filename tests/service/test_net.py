@@ -39,7 +39,7 @@ class TestHandshake:
                 async with AuthClient.connect(
                         "127.0.0.1", server.port,
                         peer="unit-test-client") as client:
-                    assert client.negotiated_version == (1, 3)
+                    assert client.negotiated_version == (1, 4)
                     assert client.server_peer == "repro-auth-server"
             return server.metrics
         metrics = run(main())
@@ -521,6 +521,23 @@ class TestBackpressureAndShutdown:
         assert metrics.acks_aborted == 8
         assert verifier._pending == {}
         assert after == before          # aborted, not rolled
+
+
+class TestRestore:
+    def test_restore_retunes_the_serving_coalescer(self):
+        # A restored config's trigger policy reaches every coalescer
+        # built on the service, the one a server batches with included.
+        async def main():
+            service = provision(max_batch=64)
+            state = service.snapshot()
+            state["manifest"]["config"].update(max_batch=8,
+                                               latency_budget_s=0.5)
+            async with AuthServer(service) as server:
+                service.restore(state)
+                return server._coalescer, service.coalescer
+        for coalescer in run(main()):
+            assert (coalescer.max_batch, coalescer.latency_budget_s) == \
+                (8, 0.5)
 
 
 class TestMetricsShape:

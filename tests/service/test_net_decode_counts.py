@@ -4,14 +4,16 @@ The counts patch the module-level ``decode_message`` names that
 ``perfbench/tracer.py`` patches too: the server side decodes in
 ``repro.service.net.server`` and ``repro.service.facade``, the client
 side in ``repro.service.net.client``.  Counting runs from after the
-handshake to the last ack.
+handshake to the last ack.  A gateway round is counted at wire 1.3 (the
+client asks for it in its HELLO) and at 1.4.
 """
 
 import asyncio
+import functools
 
 import pytest
 
-from repro.service import AuthService, FleetConfig
+from repro.service import AuthService, FleetConfig, SessionHello
 from repro.service import facade as facade_mod
 from repro.service.net import AuthClient, AuthServer
 from repro.service.net import client as client_mod
@@ -36,12 +38,9 @@ def count_decodes(monkeypatch):
     return counts, counting
 
 
-@pytest.mark.parametrize("n_devices", [1, 8])
-def test_gateway_round_decodes_each_received_frame_once(monkeypatch,
-                                                        n_devices):
-    counts, counting = count_decodes(monkeypatch)
-
-    async def main():
+def gateway_round(n_devices):
+    """One ``authenticate_batch`` of ``n_devices`` on loopback, counted."""
+    async def main(counting):
         config = FleetConfig(n_devices=n_devices, seed=5, puf=FAST_PUF)
         served = AuthService.provision(config)
         gateway = AuthService.provision(config)
@@ -50,10 +49,19 @@ def test_gateway_round_decodes_each_received_frame_once(monkeypatch,
                 counting[0] = True
                 report = await client.authenticate_batch(gateway.device_list)
                 counting[0] = False
-        return report
+        return client.negotiated_version, report
+    return main
 
-    report = asyncio.run(main())
+
+@pytest.mark.parametrize("n_devices", [1, 8])
+def test_gateway_round_decodes_each_received_frame_once(monkeypatch,
+                                                        n_devices):
+    monkeypatch.setattr(client_mod, "SessionHello",
+                        functools.partial(SessionHello, minor=3))
+    counts, counting = count_decodes(monkeypatch)
+    version, report = asyncio.run(gateway_round(n_devices)(counting))
     n = n_devices
+    assert version == (1, 3)
     assert report.n_accepted == n
     # N RESPONSEs, open-round, close-round and the round's one ack
     # REQUEST.
@@ -61,6 +69,20 @@ def test_gateway_round_decodes_each_received_frame_once(monkeypatch,
     # N CHALLENGEs, N CONFIRMATIONs, the open-round result, the REPORT
     # and the one ack result.
     assert counts["client"] == 2 * n + 3
+
+
+@pytest.mark.parametrize("n_devices", [1, 8])
+def test_wire_1_4_gateway_round_decodes_three_frames_a_side(monkeypatch,
+                                                            n_devices):
+    counts, counting = count_decodes(monkeypatch)
+    version, report = asyncio.run(gateway_round(n_devices)(counting))
+    assert version == (1, 4)
+    assert report.n_accepted == n_devices
+    # open-round, close-round (every response) and the one ack REQUEST.
+    assert counts["server"] == 3
+    # The open-round result (every nonce), the REPORT (every
+    # confirmation) and the one ack result.
+    assert counts["client"] == 3
 
 
 def test_micro_round_decodes_each_received_frame_once(monkeypatch):

@@ -8,7 +8,9 @@ per-device ``finalize`` / ``abort`` verbs apply one each, so a round
 acked either way leaves the same registry and devices behind; a
 connection negotiated below 1.3 is refused the round form and acks per
 device.  Frames are counted where each side hands them to
-``write_frame``.
+``write_frame``.  The pins here hold at 1.3: a client that speaks 1.4
+asks for 1.3 in its HELLO, as one at 1.2 asks for 1.2
+(``tests/service/test_round_frames.py`` pins the 1.4 round).
 """
 
 import asyncio
@@ -68,10 +70,10 @@ def acks_written(frames):
             for side, written in frames.items()}
 
 
-def advertise_minor_2(monkeypatch):
-    """``AuthClient``'s HELLO advertises wire 1.2."""
+def advertise_minor(monkeypatch, minor):
+    """``AuthClient``'s HELLO advertises wire ``1.minor``."""
     monkeypatch.setattr(client_mod, "SessionHello",
-                        functools.partial(SessionHello, minor=2))
+                        functools.partial(SessionHello, minor=minor))
 
 
 def end_state(service, devices):
@@ -148,6 +150,7 @@ def sessions(service, devices):
 
 class TestOneAckFramePerRound:
     def test_one_request_and_one_result(self, monkeypatch):
+        advertise_minor(monkeypatch, 3)
         frames = record_writes(monkeypatch)
         served, gateway = provision(), provision()
         version, (report,), __ = asyncio.run(
@@ -172,8 +175,7 @@ class TestRefusedAcks:
     def run_with_revocations(self, monkeypatch, legacy):
         """Revoke the victims server-side just before the client's
         first write holding an ack."""
-        if legacy:
-            advertise_minor_2(monkeypatch)
+        advertise_minor(monkeypatch, 2 if legacy else 3)
         frames = record_writes(monkeypatch)
         served, gateway = provision(), provision()
         recording = client_mod.write_frame
@@ -328,7 +330,7 @@ class TestVersionGate:
         assert b"1.3" in result.detail["failure"]
         assert applied == [0, 0, 0, 0]
         # ...and a client that negotiated 1.2 acks per device.
-        advertise_minor_2(monkeypatch)
+        advertise_minor(monkeypatch, 2)
         frames = record_writes(monkeypatch)
         served, gateway = provision(), provision()
         version, (report,), __ = asyncio.run(
@@ -353,8 +355,7 @@ class TestEquivalence:
     REFUSER = "dev-000003"
 
     def run(self, monkeypatch, legacy):
-        if legacy:
-            advertise_minor_2(monkeypatch)
+        advertise_minor(monkeypatch, 2 if legacy else 3)
         frames = record_writes(monkeypatch)
         confirm = FleetDevice.confirm
 
