@@ -63,11 +63,11 @@ Wire format history
   ``(device id, body, tag)`` triple under ``responses``, in place of
   one ``RESPONSE`` per device, and is answered by the ``REPORT`` alone,
   whose confirmations map replaces one ``CONFIRMATION`` per device.
-  The round ``finalize`` is that of 1.3.  A capability gate again: on a
-  connection negotiated below 4 a server answers ``open-round`` with
-  the per-device frames and refuses the ``responses`` param
-  (``unsupported-version``); micro-rounds keep their per-device frames
-  at every minor.
+  The round ``finalize`` is that of 1.3, and micro-rounds keep their
+  per-device frames.  0.16.0 still served the 1.1–1.3 round forms to
+  older peers.  Since 0.17.0 1.4 is the floor: a server refuses a
+  ``HELLO`` below it (``unsupported-version``), and a client refuses
+  such a ``WELCOME``, so a gateway round has this one form.
 
 The codec is table-driven: ``encode_message`` looks up each message
 class's prebuilt 5-byte header and field builder, and
@@ -85,11 +85,12 @@ Version negotiation rules (see :func:`negotiate_version`):
    :class:`SessionReject` of kind ``unsupported-version`` and closes —
    majors are incompatible by contract, so no session exists to
    continue.
-3. Otherwise the server answers :class:`SessionWelcome` carrying the
-   negotiated version: the shared major and ``min(client minor,
-   server minor)``.  Minor bumps are additive, so the lower minor is a
-   subset both sides speak; neither peer may send a frame type
-   introduced after the negotiated minor.
+3. A *minor* below 4 is refused the same way (the floor, since
+   0.17.0).  Otherwise the server answers :class:`SessionWelcome`
+   carrying the negotiated version: the shared major and ``min(client
+   minor, server minor)``.  Minor bumps are additive, so the lower
+   minor is a subset both sides speak; neither peer may send a frame
+   type introduced after the negotiated minor.
 4. Any frame that fails to decode *before* the handshake completes is
    answered with a :class:`SessionReject` (kind ``malformed``, or
    ``unsupported-version`` when only the major was unreadable) and the
@@ -101,15 +102,22 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Mapping, Tuple, Union
+from typing import List, Mapping, Tuple, Union
 
 from repro.fleet.verifier import AuthResponse, BatchAuthReport
 from repro.protocols.mutual_auth import AuthenticationFailure, FailureKind
-from repro.utils.serialization import _decode_from, _pack_length
+from repro.utils.serialization import (
+    _decode_from,
+    _pack_length,
+    decode_fields,
+    encode_fields,
+)
 
 MAGIC = b"RW"  # "repro wire"
 SCHEMA_MAJOR = 1
 SCHEMA_MINOR = 4
+#: The lowest minor a session negotiates: a gateway round has one form.
+_MINOR_FLOOR = 4
 
 _HEADER = struct.Struct(">2sBBB")
 
@@ -224,16 +232,42 @@ def negotiate_version(hello: SessionHello) -> Tuple[int, int]:
 
     Returns the ``(major, minor)`` to answer in the WELCOME; raises
     :class:`CodecError` with ``FailureKind.UNSUPPORTED_VERSION`` when
-    the majors differ (the caller turns that into a wire
-    :class:`SessionReject` and closes the connection).
+    the majors differ or the client's minor is below the floor (the
+    caller turns that into a wire :class:`SessionReject` and closes the
+    connection).
     """
-    if hello.major != SCHEMA_MAJOR:
+    if hello.major != SCHEMA_MAJOR or hello.minor < _MINOR_FLOOR:
         raise CodecError(
             f"peer speaks wire format {hello.major}.{hello.minor}, "
-            f"this server speaks {SCHEMA_MAJOR}.x",
+            f"this server speaks {SCHEMA_MAJOR}.x from "
+            f"{SCHEMA_MAJOR}.{_MINOR_FLOOR}",
             FailureKind.UNSUPPORTED_VERSION,
         )
     return SCHEMA_MAJOR, min(hello.minor, SCHEMA_MINOR)
+
+
+def _encode_rows(rows) -> bytes:
+    """A verb param or detail of rows (wire 1.3+): :func:`encode_fields`
+    of every row's fields in turn, text fields as UTF-8."""
+    return encode_fields([value.encode("utf-8") if isinstance(value, str)
+                          else value for row in rows for value in row])
+
+
+def _decode_rows(blob: bytes, width: int, what: str) -> List[tuple]:
+    """Inverse of :func:`_encode_rows` for ``width``-field rows, each
+    led by a UTF-8 device id: the rows, ids decoded.  Raises
+    :class:`CodecError` (``malformed-message``) unless ``blob`` is
+    whole such rows."""
+    try:
+        fields = decode_fields(blob)
+        if len(fields) % width:
+            raise ValueError(f"{len(fields)} fields do not form rows "
+                             f"of {width}")
+        ids = [raw.decode("utf-8") for raw in fields[0::width]]
+    except ValueError as exc:
+        raise CodecError(f"malformed {what}: {exc}") from exc
+    return list(zip(ids, *(fields[column::width]
+                           for column in range(1, width))))
 
 
 def _version_byte(value: int, label: str) -> bytes:

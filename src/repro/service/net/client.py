@@ -25,17 +25,16 @@ verifier rolls only after this client's ``finalize`` ack.
 Gateway rounds
 --------------
 :meth:`AuthClient.authenticate_batch` runs one explicit round for a
-device group held by this side, in three REQUEST/answer pairs on wire
-1.4 whatever the group's size: ``open-round``, whose ``RESULT`` carries
-the round's ``(device id, nonce)`` pairs and policy vetoes; then
-``close-round``, carrying every response as a ``(device id, body,
-tag)`` row, whose one answer is the ``REPORT`` with the round's
-confirmations; then the round ``finalize`` of wire 1.3, whose ``acks``
-go out in the order the responses did.  Each device still checks its
-own confirmation (``FleetDevice.confirm``) before its ack.  On a
-connection negotiated below 1.4 the same calls exchange the per-device
-``CHALLENGE``, ``RESPONSE`` and ``CONFIRMATION`` frames, byte for byte
-as a 1.3 client did, and below 1.3 the acks go per device.
+device group held by this side, in three REQUEST/answer pairs whatever
+the group's size: ``open-round``, whose ``RESULT`` carries the round's
+``(device id, nonce)`` pairs and policy vetoes; then ``close-round``,
+carrying every response as a ``(device id, body, tag)`` row, whose one
+answer is the ``REPORT`` with the round's confirmations; then the round
+``finalize``, whose ``acks`` go out in the order the responses did.
+Each device still checks its own confirmation (``FleetDevice.confirm``)
+before its ack.  This is wire 1.4's form, and 1.4 is the floor: since
+0.17.0 :meth:`AuthClient.connect` refuses a server that negotiates
+below it (``unsupported-version``), as a server refuses such a HELLO.
 """
 
 from __future__ import annotations
@@ -55,6 +54,8 @@ from repro.fleet.verifier import (
 )
 from repro.protocols.mutual_auth import AuthenticationFailure, FailureKind
 from repro.service.codec import (
+    SCHEMA_MAJOR,
+    _MINOR_FLOOR,
     AuthChallenge,
     AuthConfirmation,
     CodecError,
@@ -63,6 +64,8 @@ from repro.service.codec import (
     SessionRequest,
     SessionResult,
     SessionWelcome,
+    _decode_rows,
+    _encode_rows,
     decode_message,
     encode_message,
 )
@@ -72,7 +75,6 @@ from repro.service.net.stream import (
     read_frame,
     write_frame,
 )
-from repro.utils.serialization import decode_fields, encode_fields
 
 __all__ = ["AuthClient", "RemoteAuthError", "RemoteTicket"]
 
@@ -141,35 +143,22 @@ class RemoteTicket:
 class _ClientRound:
     """State of one explicit gateway round (open-round/close-round)."""
 
-    def __init__(self, device_ids: Sequence[str]):
-        self.expected = set(device_ids)
+    def __init__(self):
         self.nonces: Dict[str, bytes] = {}
         # Devices the server's policies vetoed at open-round, with the
         # veto (they get no nonce).
         self.vetoes: Dict[str, RemoteAuthError] = {}
-        self.confirmations: Dict[str, bytes] = {}
-        self.report: asyncio.Future = \
-            asyncio.get_running_loop().create_future()
 
     def opened(self, detail) -> None:
-        """Read a wire 1.4 ``open-round`` RESULT: its ``(device id,
-        nonce)`` pairs and ``(device id, reason, kind)`` vetoes."""
-        try:
-            pairs = decode_fields(detail.get("nonces", b""))
-            vetoes = decode_fields(detail.get("vetoes", b""))
-            if len(pairs) % 2 or len(vetoes) % 3:
-                raise ValueError("nonces or vetoes do not form whole rows")
-            self.nonces = dict(zip(
-                [raw.decode("utf-8") for raw in pairs[0::2]], pairs[1::2]))
-            self.vetoes = {
-                device_id.decode("utf-8"): RemoteAuthError(
-                    reason.decode("utf-8", "replace"),
-                    kind.decode("utf-8", "replace"))
-                for device_id, reason, kind
-                in zip(vetoes[0::3], vetoes[1::3], vetoes[2::3])}
-        except ValueError as exc:
-            raise RemoteAuthError(f"malformed open-round result: {exc}",
-                                  FailureKind.MALFORMED) from exc
+        """Read an ``open-round`` RESULT: its ``(device id, nonce)``
+        pairs and ``(device id, reason, kind)`` vetoes."""
+        self.nonces = dict(_decode_rows(detail.get("nonces", b""), 2,
+                                        "open-round nonces"))
+        self.vetoes = {
+            device_id: RemoteAuthError(reason.decode("utf-8", "replace"),
+                                       kind.decode("utf-8", "replace"))
+            for device_id, reason, kind in _decode_rows(
+                detail.get("vetoes", b""), 3, "open-round vetoes")}
 
 
 class _Connector:
@@ -273,6 +262,12 @@ class AuthClient:
                 raise RemoteAuthError(
                     f"expected a WELCOME, got {type(reply).__name__}",
                     FailureKind.MALFORMED)
+            if reply.major != SCHEMA_MAJOR or reply.minor < _MINOR_FLOOR:
+                raise RemoteAuthError(
+                    f"server negotiated wire format {reply.major}."
+                    f"{reply.minor}, this client speaks {SCHEMA_MAJOR}.x "
+                    f"from {SCHEMA_MAJOR}.{_MINOR_FLOOR}",
+                    FailureKind.UNSUPPORTED_VERSION)
         except asyncio.TimeoutError as exc:
             writer.close()
             raise RemoteAuthError(
@@ -422,13 +417,11 @@ class AuthClient:
         land in the report with their kinds.  Each device checks its
         confirmation locally first; a device whose check fails is acked
         with ``abort``, the rest with ``finalize``, each fenced by its
-        round token, in the order the responses went out.  On wire 1.3
-        and later the acks travel as one round ``finalize`` REQUEST,
-        answered by one ``RESULT``; below 1.3 they are pipelined per
-        device in one write and their results awaited in request order.
-        Either way the server applies every ack before the first refused
-        one raises :class:`RemoteAuthError`, so one refusal never leaves
-        the devices behind it unacked.
+        round token, in the order the responses went out.  The acks
+        travel as one round ``finalize`` REQUEST, answered by one
+        ``RESULT``: the server applies every ack before the first
+        refused one raises :class:`RemoteAuthError`, so one refusal
+        never leaves the devices behind it unacked.
         """
         devices = list(devices)
         ids = [device.device_id for device in devices]
@@ -467,25 +460,13 @@ class AuthClient:
         once the server has applied them all."""
         if not acks:
             return
-        if self.negotiated_version[1] < 3:
-            for result in await self._call_all([
-                    SessionRequest(verdict, device_id, {"round": token})
-                    for device_id, token, verdict in acks]):
-                self._raise_if_failed(result)
-            return
-        result = await self._call("finalize", params={"acks": encode_fields(
-            [field for device_id, token, verdict in acks
-             for field in (device_id.encode("utf-8"), token,
-                           verdict.encode("utf-8"))])})
-        if "refused" in result.detail:
-            # (device id, reason, kind) per refused ack, in ack order.
-            try:
-                refused = decode_fields(result.detail["refused"])
-                reason, kind = refused[1], refused[2]
-            except (ValueError, IndexError) as exc:
-                raise RemoteAuthError(
-                    f"malformed finalize result: {exc}",
-                    FailureKind.MALFORMED) from exc
+        result = await self._call("finalize",
+                                  params={"acks": _encode_rows(acks)})
+        # (device id, reason, kind) per refused ack, in ack order.
+        refused = _decode_rows(result.detail.get("refused", b""), 3,
+                               "finalize result")
+        if refused:
+            __, reason, kind = refused[0]
             raise RemoteAuthError(reason.decode("utf-8", "replace"),
                                   kind.decode("utf-8", "replace"))
         self._raise_if_failed(result)
@@ -496,11 +477,9 @@ class AuthClient:
             self, device_ids: Sequence[str]) -> Dict[str, bytes]:
         """Open an explicit round; returns the per-device nonces.
 
-        A device the server's policies veto gets no nonce;
+        The nonces and the server's policy vetoes arrive in the
+        ``open-round`` RESULT.  A vetoed device gets no nonce;
         :meth:`verify_round_wire` records its veto in the round report.
-        On wire 1.4 the nonces and vetoes arrive inside the
-        ``open-round`` RESULT; below it, as ``CHALLENGE`` frames and
-        failure ``RESULT`` frames ahead of it.
         """
         if self._round is not None:
             raise RemoteAuthError("a gateway round is already open",
@@ -509,20 +488,16 @@ class AuthClient:
             raise RemoteAuthError(
                 "cannot open a gateway round with coalesced requests "
                 "pending", FailureKind.SESSION_MISMATCH)
-        round_ = _ClientRound(device_ids)
-        self._round = round_
+        round_ = self._round = _ClientRound()
         try:
             result = await self._call("open-round", params={
-                "ids": encode_fields([device_id.encode("utf-8")
-                                      for device_id in device_ids])})
+                "ids": _encode_rows((device_id,)
+                                    for device_id in device_ids)})
             self._raise_if_failed(result)
-            if self.negotiated_version[1] >= 4:
-                round_.opened(result.detail)
+            round_.opened(result.detail)
         except BaseException:
             self._round = None
             raise
-        # Below 1.4, server FIFO: every CHALLENGE precedes the
-        # open-round RESULT.
         return dict(round_.nonces)
 
     async def verify_round_wire(
@@ -534,39 +509,29 @@ class AuthClient:
 
         Each of ``frames`` is a RESPONSE frame or a decoded
         :class:`~repro.fleet.verifier.AuthResponse`, as
-        :meth:`AuthService.verify_responses` takes them.  On wire 1.4
-        they travel as ``(device id, body, tag)`` rows of the
-        ``close-round`` REQUEST and the confirmations are the
-        ``REPORT``'s; below it, as ``RESPONSE`` frames ahead of the
-        REQUEST, answered by one ``CONFIRMATION`` per accepted device.
+        :meth:`AuthService.verify_responses` takes them.  They travel
+        as ``(device id, body, tag)`` rows of the ``close-round``
+        REQUEST, and the confirmations are the ``REPORT``'s.
         """
         round_ = self._round
         if round_ is None:
             raise RemoteAuthError("no gateway round open",
                                   FailureKind.NO_SESSION)
-        framed = self.negotiated_version[1] < 4
+        rows = _encode_rows((response.device_id, bytes(response.body),
+                             bytes(response.tag))
+                            for response in map(_as_response, frames))
         try:
-            if framed:
-                await self._send_frames(
-                    *[encode_message(frame)
-                      if isinstance(frame, AuthResponse) else frame
-                      for frame in frames],
-                    encode_message(SessionRequest("close-round")))
-            else:
-                await self._send(SessionRequest("close-round", params={
-                    "responses": encode_fields([
-                        field for response in map(_as_response, frames)
-                        for field in (response.device_id.encode("utf-8"),
-                                      bytes(response.body),
-                                      bytes(response.tag))])}))
-            report = await asyncio.wait_for(round_.report, self._timeout)
+            # The REPORT answers a close-round; a failure RESULT
+            # refuses it.
+            report = await self._call("close-round",
+                                      params={"responses": rows})
         finally:
             self._round = None
-        confirmations = dict(round_.confirmations if framed
-                             else report.confirmations)
+        if not isinstance(report, BatchAuthReport):
+            raise _refusal(report)
         for device_id, veto in round_.vetoes.items():
             report.record_failure(device_id, veto)
-        return report, confirmations
+        return report, dict(report.confirmations)
 
     async def finalize(self, device_id: str,
                        token: Optional[bytes] = None) -> None:
@@ -584,14 +549,13 @@ class AuthClient:
         self._raise_if_failed(await self._call(
             "abort", device_id, {"round": token} if token else {}))
 
-    # -- admin verbs (wire 1.2+) ------------------------------------------
+    # -- admin verbs ------------------------------------------------------
 
     async def metrics(self, fmt: str = "prometheus") -> str:
-        """Scrape the server's metrics registry (wire 1.2+).
+        """Scrape the server's metrics registry.
 
         ``fmt`` is ``"prometheus"`` (text exposition format) or
-        ``"json"``; a 1.1 server refuses with
-        ``FailureKind.UNSUPPORTED_VERSION``.
+        ``"json"``; any other is refused ``malformed-message``.
         """
         result = await self._call(
             "metrics", params={"format": fmt.encode("utf-8")})
@@ -599,7 +563,7 @@ class AuthClient:
         return result.detail.get("body", b"").decode("utf-8")
 
     async def trace(self) -> list:
-        """Fetch the server's recent round spans as JSON (wire 1.2+)."""
+        """Fetch the server's recent round spans as JSON."""
         result = await self._call("trace")
         self._raise_if_failed(result)
         return json.loads(result.detail.get("body", b"[]").decode("utf-8"))
@@ -607,14 +571,11 @@ class AuthClient:
     # -- plumbing ---------------------------------------------------------
 
     async def _send(self, *messages) -> None:
-        await self._send_frames(*[encode_message(message)
-                                  for message in messages])
-
-    async def _send_frames(self, *frames: bytes) -> None:
-        """Write frames in one write and one drain."""
+        """Write messages in one write and one drain."""
         if self._closed:
             raise self._close_error or RemoteAuthError(
                 "connection closed", FailureKind.CONNECTION_LOST)
+        frames = [encode_message(message) for message in messages]
         try:
             async with self._send_lock:
                 write_frame(self._writer, *frames)
@@ -623,30 +584,29 @@ class AuthClient:
             raise RemoteAuthError(f"connection lost: {exc}",
                                   FailureKind.CONNECTION_LOST) from exc
 
-    def _expect(self, verb: str, device_id: str = "") -> asyncio.Future:
-        future = asyncio.get_running_loop().create_future()
-        self._waiters.setdefault((verb, device_id),
-                                 deque()).append(future)
-        return future
-
     async def _call(self, verb: str, device_id: str = "",
                     params: Optional[Dict[str, bytes]] = None,
-                    ) -> SessionResult:
-        (result,) = await self._call_all(
-            [SessionRequest(verb, device_id, params or {})])
-        return result
-
-    async def _call_all(self, requests: Sequence[SessionRequest],
-                        ) -> List[SessionResult]:
-        """Pipeline requests in one write; their results, in request
-        order, within one verb timeout."""
-        if not requests:
-            return []
-        futures = [self._expect(request.verb, request.device_id)
-                   for request in requests]
-        await self._send(*requests)
-        return await asyncio.wait_for(asyncio.gather(*futures),
-                                      self._timeout)
+                    ) -> Union[SessionResult, BatchAuthReport]:
+        """One request; its answer within one verb timeout (a RESULT, or
+        the REPORT that answers a close-round)."""
+        key = (verb, device_id)
+        future = asyncio.get_running_loop().create_future()
+        self._waiters.setdefault(key, deque()).append(future)
+        try:
+            await self._send(SessionRequest(verb, device_id, params or {}))
+        except BaseException:
+            # The request never left, so no answer settles its waiter:
+            # drop it, so a later _fail_all leaves no error unretrieved,
+            # and consume one that _fail_all already set.
+            queue = self._waiters.get(key)
+            if queue and future in queue:
+                queue.remove(future)
+                if not queue:
+                    del self._waiters[key]
+            if future.done():
+                future.exception()
+            raise
+        return await asyncio.wait_for(future, self._timeout)
 
     @staticmethod
     def _raise_if_failed(result: SessionResult) -> None:
@@ -664,8 +624,6 @@ class AuthClient:
             ticket._settle(False, str(error),
                            getattr(error.kind, "value", None))
         self._tickets.clear()
-        if self._round is not None and not self._round.report.done():
-            self._round.report.set_exception(error)
         self._round = None
 
     # -- the background reader -------------------------------------------
@@ -697,8 +655,7 @@ class AuthClient:
         elif isinstance(message, AuthConfirmation):
             await self._on_confirmation(message)
         elif isinstance(message, BatchAuthReport):
-            if self._round is not None and not self._round.report.done():
-                self._round.report.set_result(message)
+            self._answer(("close-round", ""), message)
         elif isinstance(message, SessionResult):
             self._on_result(message)
         elif isinstance(message, SessionReject):
@@ -709,10 +666,6 @@ class AuthClient:
                 f"unexpected {type(message).__name__} frame from server")
 
     async def _on_challenge(self, challenge: AuthChallenge) -> None:
-        if (self._round is not None
-                and challenge.device_id in self._round.expected):
-            self._round.nonces[challenge.device_id] = challenge.nonce
-            return
         ticket = self._tickets.get(challenge.device_id)
         if ticket is None:
             return                        # unsolicited — ignore
@@ -735,10 +688,6 @@ class AuthClient:
 
     async def _on_confirmation(self,
                                confirmation: AuthConfirmation) -> None:
-        if self._round is not None:
-            self._round.confirmations[confirmation.device_id] = \
-                confirmation.mac
-            return
         ticket = self._tickets.get(confirmation.device_id)
         if ticket is None:
             return
@@ -760,33 +709,27 @@ class AuthClient:
         self._finish_ticket(ticket, True)
 
     def _on_result(self, result: SessionResult) -> None:
-        if result.verb == "close-round":
-            # A refused close-round: its REPORT will never come.
-            if self._round is not None and not self._round.report.done():
-                self._round.report.set_exception(_refusal(result))
-            return
         if result.verb == "auth":
-            failure = result.detail.get("failure", b"").decode("utf-8",
-                                                               "replace")
-            kind = result.detail.get("kind", b"").decode("utf-8", "replace")
-            if (self._round is not None
-                    and result.device_id in self._round.expected):
-                # An open-round policy veto (it arrives before the
-                # open-round RESULT, in the same write).
-                self._round.vetoes[result.device_id] = RemoteAuthError(
-                    failure, kind)
-                return
             ticket = self._tickets.get(result.device_id)
             if ticket is not None:
-                self._finish_ticket(ticket, False, failure, kind)
+                self._finish_ticket(
+                    ticket, False,
+                    result.detail.get("failure", b"").decode("utf-8",
+                                                             "replace"),
+                    result.detail.get("kind", b"").decode("utf-8",
+                                                          "replace"))
             return
-        queue = self._waiters.get((result.verb, result.device_id))
+        self._answer((result.verb, result.device_id), result)
+
+    def _answer(self, key: Tuple[str, str], answer) -> None:
+        """Settle the oldest call awaiting ``key``."""
+        queue = self._waiters.get(key)
         if queue:
             future = queue.popleft()
             if not queue:
-                del self._waiters[(result.verb, result.device_id)]
+                del self._waiters[key]
             if not future.done():
-                future.set_result(result)
+                future.set_result(answer)
         # else: an unawaited fire-and-forget ack (finalize/abort).
 
     def _finish_ticket(self, ticket: RemoteTicket, accepted: bool,

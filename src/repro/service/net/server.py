@@ -47,36 +47,30 @@ A wire micro-round is the protocol's Fig. 4 exchange, scattered:
 
 Gateway rounds
 --------------
-A gateway drives a whole device group on one connection, and on wire
-1.4 a round is three REQUEST/answer pairs whatever its size.  The
-``open-round`` ``RESULT`` carries the round's nonces as ``(device id,
-nonce)`` pairs and its policy vetoes as ``(device id, reason, kind)``
-triples: the service's vetoes screen every id the request names, and a
-vetoed device draws no nonce.  The ``close-round`` REQUEST carries
-every response as a ``(device id, body, tag)`` triple, and its one
-answer is the ``REPORT``, whose confirmations map holds the round's
-confirmations; each accepted session is exposed and awaits its ack
-before the ``REPORT`` is written.  The round's acks travel in one frame
-(wire 1.3): a ``finalize`` REQUEST whose ``acks`` param lists
-``(device id, round token, verdict)`` triples, applied in order exactly
-as the per-device ``finalize`` / ``abort`` verbs apply one ack each,
-and answered by one ``RESULT`` that names each refused ack with its
-reason and kind.  The server encodes no ``CHALLENGE`` or
-``CONFIRMATION`` frame for a 1.4 round.  A connection negotiated below
-1.4 gets the per-device frames instead, byte for byte: ``open-round``
-answers with every ``CHALLENGE`` and every veto's failure ``RESULT``
-ahead of its own ``RESULT`` in one write, the responses arrive as
-``RESPONSE`` frames, ``close-round`` answers with every
-``CONFIRMATION`` plus the ``REPORT``, and the ``responses`` param is
-refused (``unsupported-version``); below 1.3 the round ``finalize`` is
-refused too, and the gateway acks per device.  The verb loop reads in
-bulk — every complete frame the socket delivered — dispatches those
-frames in order and writes the replies they produce together once they
-are done, so pipelined per-device acks get their ``RESULT`` frames back
-in one write too.  Held replies go out early once they reach
-``write_high_bytes``, before the loop waits on the backpressure gate,
-and before it closes a connection, so a ``REJECT`` and the replies
-ahead of it still arrive.
+A gateway drives a whole device group on one connection, and a round is
+three REQUEST/answer pairs whatever its size.  The ``open-round``
+``RESULT`` carries the round's nonces as ``(device id, nonce)`` pairs
+and its policy vetoes as ``(device id, reason, kind)`` triples: the
+service's vetoes screen every id the request names, and a vetoed device
+draws no nonce.  The ``close-round`` REQUEST carries every response as
+a ``(device id, body, tag)`` triple, and its one answer is the
+``REPORT``, whose confirmations map holds the round's confirmations;
+each accepted session is exposed and awaits its ack before the
+``REPORT`` is written.  The round's acks travel in one frame: a
+``finalize`` REQUEST whose ``acks`` param lists ``(device id, round
+token, verdict)`` triples, applied in order exactly as the per-device
+``finalize`` / ``abort`` verbs apply one ack each, and answered by one
+``RESULT`` that names each refused ack with its reason and kind.  The
+server encodes no ``CHALLENGE`` or ``CONFIRMATION`` frame for a gateway
+round.  This is the only form: since 0.17.0 a HELLO below wire 1.4 is
+refused ``unsupported-version`` (the per-device round forms of 1.1–1.3
+are gone).  The verb loop reads in bulk — every complete frame the
+socket delivered — dispatches those frames in order and writes the
+replies they produce together once they are done, so pipelined
+per-device acks get their ``RESULT`` frames back in one write too.
+Held replies go out early once they reach ``write_high_bytes``, before
+the loop waits on the backpressure gate, and before it closes a
+connection, so a ``REJECT`` and the replies ahead of it still arrive.
 
 Isolation and flow control
 --------------------------
@@ -84,12 +78,13 @@ Hostile sockets never poison a round: malformed frames get a
 taxonomy-coded ``REJECT`` and only *that* connection closes.  A verb
 param that does not parse (``ids``, ``responses`` or ``acks`` rows
 that are not whole rows or lead with a non-UTF-8 id, more responses
-than a round's frame bound, a non-numeric or non-positive spot ``k``,
-a missing or short ``spot-submit`` measurement) is refused whole with
-a ``malformed-message`` failure ``RESULT`` before any protocol state
+than a round's bound, a non-numeric or non-positive spot ``k``, a
+missing or short ``spot-submit`` measurement) is refused whole with a
+``malformed-message`` failure ``RESULT`` before any protocol state
 changes, and the connection keeps serving.  A ``close-round`` ends the
-connection's round whatever its answer, so a refused one leaves the
-round's devices unverified and the next round free to open.
+connection's round whatever its answer, a fence refusal included, so a
+refused one leaves the round's devices unverified and the next round
+free to open.
 Truncated frames and slow-loris trickles time out per-socket (the
 guards of :mod:`repro.service.net.stream` hold for every frame of a
 bulk read);
@@ -119,7 +114,6 @@ from repro.obs.instrument import RegistryBackedCounters
 from repro.obs.registry import MetricsRegistry
 from repro.protocols.mutual_auth import AuthenticationFailure, FailureKind
 from repro.service.codec import (
-    SCHEMA_MINOR,
     CodecError,
     SessionHello,
     SessionReject,
@@ -127,6 +121,8 @@ from repro.service.codec import (
     SessionResult,
     SessionWelcome,
     WireMessage,
+    _decode_rows,
+    _encode_rows,
     decode_message,
     encode_message,
     negotiate_version,
@@ -138,7 +134,6 @@ from repro.service.net.stream import (
     write_frame,
 )
 from repro.service.policy import run_hooks
-from repro.utils.serialization import decode_fields, encode_fields
 
 __all__ = ["AuthServer", "NetConfig", "ServerMetrics"]
 
@@ -235,7 +230,6 @@ class _Connection:
         self.reader = reader
         self.writer = writer
         self.peer = "?"
-        self.minor = SCHEMA_MINOR        # negotiated wire minor (handshake)
         self.closed = False
         self.queued = 0                  # auths submitted, round not open yet
         self.gate = asyncio.Event()
@@ -243,7 +237,8 @@ class _Connection:
         # device_id -> rounds awaiting this connection's RESPONSE/ack,
         # oldest first (same-device pipelining across micro-rounds).
         self.routes: Dict[str, Deque["_WireRound"]] = {}
-        self.explicit: Optional["_ExplicitRound"] = None
+        # The open gateway round's nonces (open-round to close-round).
+        self.explicit: Optional[Dict[str, bytes]] = None
         self.spot_pending: Dict[str, Tuple[np.ndarray, float]] = {}
         self.ack_pending: Set[str] = set()
         self.inbox = bytearray()         # bytes read past the last frame
@@ -304,22 +299,6 @@ def _malformed(what: str, problem) -> AuthenticationFailure:
                                  FailureKind.MALFORMED)
 
 
-def _decode_rows(blob: bytes, width: int, what: str) -> List[tuple]:
-    """A verb param holding :func:`encode_fields` of ``width``-field
-    rows, each led by a UTF-8 device id: the rows, ids decoded;
-    ``malformed-message`` unless the whole param is such rows."""
-    try:
-        fields = decode_fields(blob)
-        if len(fields) % width:
-            raise ValueError(f"{len(fields)} fields do not form rows "
-                             f"of {width}")
-        ids = [raw.decode("utf-8") for raw in fields[0::width]]
-    except ValueError as exc:
-        raise _malformed(what, exc) from exc
-    return list(zip(ids, *(fields[column::width]
-                           for column in range(1, width))))
-
-
 def _decode_acks(blob: bytes) -> List[Tuple[str, bytes, str]]:
     """The ``acks`` param of a round ``finalize``: its ``(device id,
     round token, verdict)`` triples, each verdict ``finalize`` or
@@ -373,19 +352,6 @@ class _WireRound:
         self.outstanding.discard(device_id)
         if not self.outstanding:
             self.complete.set()
-
-
-class _ExplicitRound:
-    """A client-driven ``open-round``/``close-round`` gateway round."""
-
-    def __init__(self, nonces: Dict[str, bytes]):
-        self.nonces = nonces
-        self.responses: List[AuthResponse] = []   # decoded, in order
-        # A hostile gateway may stuff unboundedly many responses into
-        # one round: past this many RESPONSE frames the connection is
-        # rejected, and a close-round whose responses param would pass
-        # it is refused whole.
-        self.max_frames = max(64, 4 * len(nonces))
 
 
 class AuthServer:
@@ -763,7 +729,6 @@ class AuthServer:
             await self._reject(conn, failure.kind, str(failure))
             return False
         conn.peer = hello.peer
-        conn.minor = minor
         welcomed = await conn.send_message(
             SessionWelcome(config.peer, major, minor))
         if welcomed and self._obs is not None:
@@ -816,11 +781,13 @@ class AuthServer:
             await self._reject(conn, failure.kind, str(failure))
             return False
         if isinstance(message, AuthResponse):
-            try:
-                self._route_response(conn, message)
-            except CodecError as failure:
-                await self._reject(conn, failure.kind, str(failure))
-                return False
+            # A micro-round's RESPONSE: the round gets it decoded, so
+            # verify_responses takes it without decoding it again.
+            queue = conn.routes.get(message.device_id)
+            if queue:
+                queue[0].deliver(message)
+            # else: unsolicited — drop silently; it must not poison
+            # anything.
             return True
         if isinstance(message, SessionRequest):
             self.metrics.requests += 1
@@ -837,25 +804,18 @@ class AuthServer:
                            f"unexpected {type(message).__name__} frame")
         return False
 
-    def _route_response(self, conn: _Connection,
-                        response: AuthResponse) -> None:
-        # The round gets the RESPONSE decoded, as _dispatch left it:
-        # verify_round_wire takes it without decoding the frame again.
-        if conn.explicit is not None:
-            if len(conn.explicit.responses) >= conn.explicit.max_frames:
-                raise CodecError("explicit round overflow")
-            conn.explicit.responses.append(response)
-            return
-        queue = conn.routes.get(response.device_id)
-        if queue:
-            queue[0].deliver(response)
-        # else: unsolicited — drop silently; it must not poison anything.
-
     async def _handle_request(self, conn: _Connection,
                               request: SessionRequest) -> None:
         verb = request.verb
         device_id = request.device_id
         params = request.params
+        explicit = None
+        if verb == "close-round":
+            # A close-round ends the connection's round whatever its
+            # answer, a fence refusal included: a gateway whose
+            # close-round is refused drops its side of the round too,
+            # and may open the next one.
+            explicit, conn.explicit = conn.explicit, None
         if self.fence is not None and verb in self.FENCED_VERBS:
             refusal = self.fence()
             if refusal is not None:
@@ -944,7 +904,8 @@ class AuthServer:
             ids = [round_device for round_device, in _decode_rows(
                 params.get("ids", b""), 1, "open-round ids")]
             # The service's policy vetoes, as authenticate_batch applies
-            # them: a vetoed device draws no nonce.
+            # them: a vetoed device draws no nonce.  The nonces and the
+            # vetoes ride the RESULT.
             admitted, vetoes = [], []
             for round_device in ids:
                 failure = self.service._policy_veto(round_device)
@@ -952,98 +913,59 @@ class AuthServer:
                     admitted.append(round_device)
                 else:
                     self.metrics.auths_failed += 1
-                    vetoes.append((round_device, failure))
-            if conn.minor >= 4:
-                # Wire 1.4: the nonces and the vetoes ride the RESULT.
-                nonces = self.service.verifier.open_round(admitted)
-                conn.explicit = _ExplicitRound(nonces)
-                detail = {"count": str(len(nonces)).encode()}
-                detail["nonces"] = encode_fields([
-                    field for round_device, nonce in nonces.items()
-                    for field in (round_device.encode("utf-8"), nonce)])
-                if vetoes:
-                    detail["vetoes"] = encode_fields([
-                        field for round_device, failure in vetoes
-                        for field in (round_device.encode("utf-8"),
-                                      str(failure).encode("utf-8"),
-                                      failure.kind.value.encode("utf-8"))])
-                await conn.send_message(SessionResult("open-round",
-                                                      detail=detail))
-                return
-            # Below 1.4: a CHALLENGE per admitted device and the veto's
-            # failure RESULT per vetoed one, ahead of the RESULT.
-            nonces, challenge_frames = self.service.open_round_wire(admitted)
-            conn.explicit = _ExplicitRound(nonces)
-            await conn.send(
-                *[challenge_frames[round_device] for round_device in nonces],
-                *[encode_message(_failed("auth", round_device, str(failure),
-                                         failure.kind.value))
-                  for round_device, failure in vetoes],
-                encode_message(SessionResult(
-                    "open-round",
-                    detail={"count": str(len(nonces)).encode()})))
+                    vetoes.append((round_device, str(failure),
+                                   failure.kind.value))
+            nonces = conn.explicit = self.service.verifier.open_round(
+                admitted)
+            detail = {"count": str(len(nonces)).encode(),
+                      "nonces": _encode_rows(nonces.items())}
+            if vetoes:
+                detail["vetoes"] = _encode_rows(vetoes)
+            await conn.send_message(SessionResult("open-round",
+                                                  detail=detail))
             return
         if verb == "close-round":
-            # The request ends the round whatever its answer: a gateway
-            # whose close-round is refused drops its side of the round
-            # too, and may open the next one.
-            explicit, conn.explicit = conn.explicit, None
             if explicit is None:
                 raise AuthenticationFailure(
                     "no gateway round open on this connection",
                     FailureKind.NO_SESSION)
-            responses = explicit.responses
-            if "responses" in params:
-                # Wire 1.4: every response as a (device id, body, tag)
-                # row, after any RESPONSE frames the round got.
-                if conn.minor < 4:
-                    raise AuthenticationFailure(
-                        "the 'responses' param of 'close-round' requires "
-                        f"wire version >= 1.4 (negotiated 1.{conn.minor})",
-                        FailureKind.UNSUPPORTED_VERSION)
-                rows = _decode_rows(params["responses"], 3,
-                                    "close-round responses")
-                if len(responses) + len(rows) > explicit.max_frames:
-                    raise _malformed(
-                        "close-round responses", f"{len(rows)} responses "
-                        f"for a round of {len(explicit.nonces)} nonces")
-                responses = responses + [AuthResponse(*row) for row in rows]
-            report, confirmation_frames = self.service.verify_responses(
-                responses, explicit.nonces)
+            # Every response as a (device id, body, tag) row.  A hostile
+            # gateway may stuff unboundedly many into one round, so past
+            # max(64, 4 x nonces) rows the request is refused whole; not
+            # past the nonce count, because a replayed response may join
+            # a round where every device answered.
+            rows = _decode_rows(params.get("responses", b""), 3,
+                                "close-round responses")
+            if len(rows) > max(64, 4 * len(explicit)):
+                raise _malformed(
+                    "close-round responses", f"{len(rows)} responses "
+                    f"for a round of {len(explicit)} nonces")
+            report, __ = self.service.verify_responses(
+                [AuthResponse(*row) for row in rows], explicit)
             for accepted_id in report.confirmations:
-                # Expose and await the ack before the frames are written,
-                # as a micro-round does: a connection that dies from here
-                # on aborts these sessions (ambiguously) on teardown.
+                # Expose and await the ack before the REPORT is written,
+                # as a micro-round does: a connection that dies from
+                # here on aborts these sessions (ambiguously) on
+                # teardown.  The REPORT's confirmations map is the
+                # round's confirmations.
                 self.service.verifier.expose(accepted_id)
                 conn.ack_pending.add(accepted_id)
-            if conn.minor >= 4:
-                # The REPORT's confirmations map is the round's
-                # confirmations: no CONFIRMATION frame repeats one.
-                await conn.send_message(report)
-            else:
-                await conn.send(*confirmation_frames.values(),
-                                encode_message(report))
+            await conn.send_message(report)
             return
         if verb == "finalize" and "acks" in params:
-            # The round form (wire 1.3+): every ack of a gateway round in
-            # one frame, applied in order; the refused ones are named in
-            # the one RESULT, each with its reason and kind.
-            if conn.minor < 3:
-                raise AuthenticationFailure(
-                    "the round form of 'finalize' requires wire version "
-                    f">= 1.3 (negotiated 1.{conn.minor})",
-                    FailureKind.UNSUPPORTED_VERSION)
-            refused: List[bytes] = []
+            # The round form: every ack of a gateway round in one frame,
+            # applied in order; the refused ones are named in the one
+            # RESULT, each with its reason and kind.
+            refused = []
             for acked_id, token, verdict in _decode_acks(params["acks"]):
                 try:
                     self._apply_ack(conn, acked_id, token, verdict)
                 except AuthenticationFailure as failure:
-                    refused += (acked_id.encode("utf-8"),
-                                str(failure).encode("utf-8"),
-                                failure.kind.value.encode("utf-8"))
+                    refused.append((acked_id, str(failure),
+                                    failure.kind.value))
             await conn.send_message(SessionResult(
                 "finalize", device_id, ok=not refused,
-                detail={"refused": encode_fields(refused)} if refused
+                detail={"refused": _encode_rows(refused)} if refused
                 else {}))
             return
         if verb in ("finalize", "abort"):
@@ -1052,14 +974,9 @@ class AuthServer:
             await conn.send_message(SessionResult(verb, device_id))
             return
         if verb in ("metrics", "trace"):
-            # Admin verbs, wire 1.2+.  Deliberately NOT in FENCED_VERBS:
-            # standbys and deposed primaries stay scrapeable — that is
-            # when an operator most wants to look at them.
-            if conn.minor < 2:
-                raise AuthenticationFailure(
-                    f"the {verb!r} verb requires wire version >= 1.2 "
-                    f"(negotiated 1.{conn.minor})",
-                    FailureKind.UNSUPPORTED_VERSION)
+            # Admin verbs.  Deliberately NOT in FENCED_VERBS: standbys
+            # and deposed primaries stay scrapeable — that is when an
+            # operator most wants to look at them.
             if verb == "metrics":
                 fmt = params.get("format", b"prometheus")
                 if fmt not in (b"prometheus", b"json"):

@@ -22,17 +22,7 @@ from repro.obs import (
     parse_prometheus,
 )
 from repro.fleet.lifecycle import CampaignStats
-from repro.protocols.mutual_auth import FailureKind
 from repro.service import AuthService, FleetConfig, HAConfig
-from repro.service.codec import (
-    SCHEMA_MAJOR,
-    SessionHello,
-    SessionRequest,
-    SessionResult,
-    SessionWelcome,
-    decode_message,
-    encode_message,
-)
 from repro.service.ha import HAAuthClient, ReplicaGroup
 from repro.service.net import (
     AuthClient,
@@ -43,7 +33,6 @@ from repro.service.net import (
 )
 from repro.service.net.chaos import ChaosMetrics
 from repro.service.net.server import ServerMetrics
-from repro.service.net.stream import read_frame, write_frame
 from repro.service.policy import AuditLogPolicy
 
 FAST_PUF = dict(challenge_bits=32, n_stages=4, response_bits=16)
@@ -266,36 +255,6 @@ class TestMetricsVerb:
                                        match="unknown metrics format"):
                         await client.metrics(fmt="yaml")
         run(main())
-
-    def test_verbs_require_wire_minor_2(self):
-        # A 1.1 client negotiates minor 1; the admin verbs must be
-        # refused with the version taxonomy, not served or crashed.
-        async def main():
-            service = provision()
-            async with AuthServer(service) as server:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port)
-                try:
-                    write_frame(writer, encode_message(
-                        SessionHello("legacy-1.1", SCHEMA_MAJOR, 1)))
-                    await writer.drain()
-                    welcome = decode_message(await read_frame(reader))
-                    assert isinstance(welcome, SessionWelcome)
-                    assert (welcome.major, welcome.minor) == (1, 1)
-                    write_frame(writer, encode_message(
-                        SessionRequest("metrics")))
-                    await writer.drain()
-                    result = decode_message(await read_frame(reader))
-                finally:
-                    writer.close()
-                    await writer.wait_closed()
-                return result
-        result = run(main())
-        assert isinstance(result, SessionResult)
-        assert not result.ok
-        assert result.detail["kind"].decode() == \
-            FailureKind.UNSUPPORTED_VERSION.value
-        assert b"1.2" in result.detail["failure"]
 
 
 class TestTraceVerb:

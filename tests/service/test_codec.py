@@ -248,8 +248,13 @@ class TestSessionFrames:
             SessionHello,
             negotiate_version,
         )
+        # Wire 1.4 is the floor: below it a gateway round had other forms.
+        for minor in range(4):
+            with pytest.raises(CodecError) as excinfo:
+                negotiate_version(SessionHello("dev", SCHEMA_MAJOR, minor))
+            assert excinfo.value.kind is FailureKind.UNSUPPORTED_VERSION
         assert negotiate_version(
-            SessionHello("dev", SCHEMA_MAJOR, 0)) == (SCHEMA_MAJOR, 0)
+            SessionHello("dev", SCHEMA_MAJOR, 4)) == (SCHEMA_MAJOR, 4)
         assert negotiate_version(
             SessionHello("dev", SCHEMA_MAJOR, 250)) == (SCHEMA_MAJOR,
                                                         SCHEMA_MINOR)

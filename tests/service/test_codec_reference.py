@@ -8,11 +8,11 @@ decoder must then treat every input as the reference does — return an
 equal message, or raise the same exception with the same
 ``FailureKind`` — over valid frames, each of their truncations, single
 byte changes and random byte strings.  The frames one loopback gateway
-round writes on both sides go through the same checks.
+round and one loopback micro-round write on both sides go through the
+same checks.
 """
 
 import asyncio
-import functools
 import struct
 
 import pytest
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.fleet.verifier import AuthResponse, BatchAuthReport
 from repro.service import (
     MAGIC,
-    SCHEMA_MINOR,
     AuthChallenge,
     AuthConfirmation,
     AuthService,
@@ -224,12 +223,26 @@ class TestFieldCodec:
                 outcome(reference.encode_fields, fields)
 
 
+async def gateway_round(client, devices) -> None:
+    report = await client.authenticate_batch(devices)
+    assert report.n_accepted == len(devices)
+
+
+async def micro_round(client, devices) -> None:
+    tickets = [await client.submit(device) for device in devices]
+    await client.flush()
+    for ticket in tickets:
+        await ticket.wait(10.0)
+    assert all(ticket.accepted for ticket in tickets)
+    # The server answers one connection's requests in order, so the
+    # RESULT of a second flush comes after every finalize ack's.
+    await client.flush()
+
+
 def loopback_round_frames(monkeypatch, n_devices: int = 4,
-                          minor: int = SCHEMA_MINOR) -> list:
-    """Every frame both sides hand ``write_frame`` in one gateway round
-    (handshake included), the client's HELLO advertising ``1.minor``."""
-    monkeypatch.setattr(client_mod, "SessionHello",
-                        functools.partial(SessionHello, minor=minor))
+                          drive=gateway_round) -> list:
+    """Every frame both sides hand ``write_frame`` while ``drive`` runs
+    one round of ``n_devices`` on loopback (handshake included)."""
     written = []
     for module in (server_mod, client_mod):
         original = module.write_frame
@@ -246,8 +259,7 @@ def loopback_round_frames(monkeypatch, n_devices: int = 4,
         gateway = AuthService.provision(config)
         async with AuthServer(served) as server:
             async with AuthClient.connect("127.0.0.1", server.port) as client:
-                report = await client.authenticate_batch(gateway.device_list)
-        assert report.n_accepted == n_devices
+                await drive(client, gateway.device_list)
 
     asyncio.run(main())
     return written
@@ -270,17 +282,6 @@ def assert_frames_match_reference(frames) -> None:
                                  + frame[9:])
 
 
-def test_loopback_gateway_round_frames_match_reference(monkeypatch):
-    n = 4
-    frames = loopback_round_frames(monkeypatch, n, minor=3)
-    # HELLO and WELCOME; from the client open-round, N RESPONSEs,
-    # close-round and the one ack REQUEST; from the server N CHALLENGEs
-    # and the open-round RESULT, N CONFIRMATIONs and the REPORT, and
-    # the one ack RESULT.
-    assert len(frames) == 2 + (3 + n) + (3 + 2 * n)
-    assert_frames_match_reference(frames)
-
-
 def test_loopback_wire_1_4_round_frames_match_reference(monkeypatch):
     frames = loopback_round_frames(monkeypatch, 4)
     # HELLO and WELCOME; from the client open-round, close-round (every
@@ -288,4 +289,15 @@ def test_loopback_wire_1_4_round_frames_match_reference(monkeypatch):
     # RESULT (every nonce), the REPORT (every confirmation) and the one
     # ack RESULT.
     assert len(frames) == 2 + 3 + 3
+    assert_frames_match_reference(frames)
+
+
+def test_loopback_micro_round_frames_match_reference(monkeypatch):
+    n = 4
+    frames = loopback_round_frames(monkeypatch, n, drive=micro_round)
+    # HELLO and WELCOME; from the client N auth REQUESTs, N RESPONSEs,
+    # N finalize REQUESTs and two flush REQUESTs; from the server N
+    # CHALLENGEs, N CONFIRMATIONs, N finalize RESULTs and two flush
+    # RESULTs.
+    assert len(frames) == 2 + (3 * n + 2) + (3 * n + 2)
     assert_frames_match_reference(frames)

@@ -344,8 +344,12 @@ class TestClientHandshakeTimeouts:
 
     def test_silent_server_times_out_with_timeout_kind(self):
         async def main():
+            hung_up = asyncio.Event()
+
             async def mute(reader, writer):
-                await asyncio.sleep(10)            # accept, say nothing
+                await reader.read()                # accept, say nothing
+                writer.close()                     # until the client quits
+                hung_up.set()
             server = await asyncio.start_server(mute, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]
             try:
@@ -355,6 +359,9 @@ class TestClientHandshakeTimeouts:
                                            handshake_timeout_s=0.2),
                         timeout=2.0)
                 assert exc.value.kind is FailureKind.TIMEOUT
+                # The handler ends before the loop does: one cancelled
+                # at loop shutdown logs an asyncio error.
+                await asyncio.wait_for(hung_up.wait(), 2.0)
             finally:
                 server.close()
                 await server.wait_closed()

@@ -6,18 +6,32 @@ bind an ephemeral port on loopback.
 """
 
 import asyncio
+import gc
+import logging
 
 import numpy as np
 import pytest
 
 from repro.protocols.mutual_auth import FailureKind
-from repro.service import AuthService, FleetConfig
+from repro.service import (
+    AuthService,
+    FleetConfig,
+    SessionHello,
+    SessionReject,
+    SessionRequest,
+    SessionWelcome,
+    decode_message,
+    encode_message,
+)
 from repro.service.net import (
     AuthClient,
     AuthServer,
     NetConfig,
     RemoteAuthError,
+    read_frame,
+    write_frame,
 )
+from repro.service.net import client as client_mod
 
 FAST_PUF = dict(challenge_bits=32, n_stages=4, response_bits=16)
 
@@ -56,6 +70,66 @@ class TestHandshake:
                         "127.0.0.1", server.port) as client:
                     return client.server_peer
         assert run(main()) == "fleet-gateway-7"
+
+    def test_a_hello_below_wire_1_4_is_rejected(self):
+        # Wire 1.4 is the floor: each older HELLO is refused and
+        # counted, and the server goes on serving.
+        async def main():
+            service = provision()
+            replies, failed = [], []
+            async with AuthServer(service) as server:
+                for minor in range(4):
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.port)
+                    write_frame(writer, encode_message(
+                        SessionHello("old", minor=minor)))
+                    await writer.drain()
+                    replies.append(decode_message(
+                        await asyncio.wait_for(read_frame(reader), 10)))
+                    eof = await asyncio.wait_for(reader.read(1), 10)
+                    writer.close()
+                    assert eof == b""
+                    failed.append(server.metrics.handshakes_failed)
+                async with AuthClient.connect(
+                        "127.0.0.1", server.port) as client:
+                    report = await client.authenticate_batch(
+                        service.device_list)
+            return replies, failed, report
+
+        replies, failed, report = run(main())
+        assert all(isinstance(reply, SessionReject) for reply in replies)
+        assert {reply.kind for reply in replies} == \
+            {FailureKind.UNSUPPORTED_VERSION.value}
+        assert failed == [1, 2, 3, 4]
+        assert report.n_accepted == 4
+
+    def test_client_refuses_a_welcome_below_wire_1_4(self):
+        async def main():
+            hung_up = asyncio.Event()
+
+            async def old_server(reader, writer):
+                await read_frame(reader)           # the HELLO
+                write_frame(writer, encode_message(
+                    SessionWelcome("old-server", minor=3)))
+                await writer.drain()
+                await reader.read()                # until the client quits
+                writer.close()
+                hung_up.set()
+
+            server = await asyncio.start_server(old_server, "127.0.0.1", 0)
+            try:
+                with pytest.raises(RemoteAuthError) as excinfo:
+                    await AuthClient.connect(
+                        "127.0.0.1", server.sockets[0].getsockname()[1])
+                await asyncio.wait_for(hung_up.wait(), 10)
+            finally:
+                server.close()
+                await server.wait_closed()
+            return excinfo.value
+
+        error = run(main())
+        assert error.kind is FailureKind.UNSUPPORTED_VERSION
+        assert "1.3" in str(error)
 
 
 class TestAuthVerbs:
@@ -521,6 +595,55 @@ class TestBackpressureAndShutdown:
         assert metrics.acks_aborted == 8
         assert verifier._pending == {}
         assert after == before          # aborted, not rolled
+
+
+class TestClientLeavesNoUnretrievedErrors:
+    """Ordinary shutdown paths leave no future whose exception nobody
+    retrieves: asyncio would log each one as an ERROR."""
+
+    @staticmethod
+    def asyncio_errors(caplog):
+        gc.collect()
+        return [record.getMessage() for record in caplog.records
+                if record.name == "asyncio"
+                and record.levelno >= logging.ERROR]
+
+    def test_closing_with_a_gateway_round_open(self, caplog):
+        async def main():
+            service = provision()
+            async with AuthServer(service) as server:
+                client = await AuthClient.connect("127.0.0.1", server.port)
+                await client.open_round_wire(service.device_ids())
+                await client.aclose()
+
+        run(main())
+        assert self.asyncio_errors(caplog) == []
+
+    def test_a_request_whose_write_fails(self, monkeypatch, caplog):
+        # The round finalize never leaves: its waiter goes with it, so
+        # the connection's teardown has no error to set on it.
+        write_frame = client_mod.write_frame
+
+        def failing(writer, *frames):
+            if any(isinstance(message, SessionRequest)
+                   and message.verb == "finalize"
+                   for message in map(decode_message, frames)):
+                raise ConnectionResetError("the ack write failed")
+            write_frame(writer, *frames)
+
+        monkeypatch.setattr(client_mod, "write_frame", failing)
+
+        async def main():
+            service = provision()
+            async with AuthServer(service) as server:
+                client = await AuthClient.connect("127.0.0.1", server.port)
+                with pytest.raises(RemoteAuthError) as excinfo:
+                    await client.authenticate_batch(service.device_list)
+                await client.aclose()
+            return excinfo.value
+
+        assert run(main()).kind is FailureKind.CONNECTION_LOST
+        assert self.asyncio_errors(caplog) == []
 
 
 class TestRestore:

@@ -4,16 +4,14 @@ The counts patch the module-level ``decode_message`` names that
 ``perfbench/tracer.py`` patches too: the server side decodes in
 ``repro.service.net.server`` and ``repro.service.facade``, the client
 side in ``repro.service.net.client``.  Counting runs from after the
-handshake to the last ack.  A gateway round is counted at wire 1.3 (the
-client asks for it in its HELLO) and at 1.4.
+handshake to the last ack.
 """
 
 import asyncio
-import functools
 
 import pytest
 
-from repro.service import AuthService, FleetConfig, SessionHello
+from repro.service import AuthService, FleetConfig
 from repro.service import facade as facade_mod
 from repro.service.net import AuthClient, AuthServer
 from repro.service.net import client as client_mod
@@ -51,24 +49,6 @@ def gateway_round(n_devices):
                 counting[0] = False
         return client.negotiated_version, report
     return main
-
-
-@pytest.mark.parametrize("n_devices", [1, 8])
-def test_gateway_round_decodes_each_received_frame_once(monkeypatch,
-                                                        n_devices):
-    monkeypatch.setattr(client_mod, "SessionHello",
-                        functools.partial(SessionHello, minor=3))
-    counts, counting = count_decodes(monkeypatch)
-    version, report = asyncio.run(gateway_round(n_devices)(counting))
-    n = n_devices
-    assert version == (1, 3)
-    assert report.n_accepted == n
-    # N RESPONSEs, open-round, close-round and the round's one ack
-    # REQUEST.
-    assert counts["server"] == n + 3
-    # N CHALLENGEs, N CONFIRMATIONs, the open-round result, the REPORT
-    # and the one ack result.
-    assert counts["client"] == 2 * n + 3
 
 
 @pytest.mark.parametrize("n_devices", [1, 8])

@@ -1,20 +1,18 @@
-"""Wire 1.3: a gateway round's acks travel in one frame each way.
+"""A gateway round's acks travel in one frame each way.
 
 ``AuthClient.authenticate_batch`` settles a round's two-phase commit
 with one ``finalize`` REQUEST listing every ``(device id, round token,
-verdict)`` ack, and ``AuthServer`` answers with one ``RESULT`` naming
-each refused ack.  The server applies the acks exactly as the
-per-device ``finalize`` / ``abort`` verbs apply one each, so a round
-acked either way leaves the same registry and devices behind; a
-connection negotiated below 1.3 is refused the round form and acks per
-device.  Frames are counted where each side hands them to
-``write_frame``.  The pins here hold at 1.3: a client that speaks 1.4
-asks for 1.3 in its HELLO, as one at 1.2 asks for 1.2
-(``tests/service/test_round_frames.py`` pins the 1.4 round).
+verdict)`` ack (the round form, since wire 1.3), and ``AuthServer``
+answers with one ``RESULT`` naming each refused ack.  The server
+applies the acks exactly as the per-device ``finalize`` / ``abort``
+verbs apply one each, so a round acked either way — the per-device
+side sends its acks through ``AuthClient.finalize`` / ``abort`` —
+leaves the same registry and devices behind.  Frames are counted where
+each side hands them to ``write_frame``
+(``tests/service/test_round_frames.py`` pins the rest of the round).
 """
 
 import asyncio
-import functools
 from collections import namedtuple
 
 import pytest
@@ -22,7 +20,6 @@ import pytest
 from repro.fleet.verifier import BatchAuthReport, FleetDevice
 from repro.protocols.mutual_auth import AuthenticationFailure, FailureKind
 from repro.service import (
-    SCHEMA_MINOR,
     AuthService,
     FleetConfig,
     SessionHello,
@@ -70,10 +67,22 @@ def acks_written(frames):
             for side, written in frames.items()}
 
 
-def advertise_minor(monkeypatch, minor):
-    """``AuthClient``'s HELLO advertises wire ``1.minor``."""
-    monkeypatch.setattr(client_mod, "SessionHello",
-                        functools.partial(SessionHello, minor=minor))
+def ack_per_device(monkeypatch):
+    """``AuthClient.authenticate_batch`` sends its acks one device at a
+    time through ``AuthClient.finalize`` / ``abort`` instead of in one
+    round ``finalize``, and raises the first refused one once every ack
+    went out."""
+    async def per_device(client, acks):
+        refusals = []
+        for device_id, token, verdict in acks:
+            try:
+                await getattr(client, verdict)(device_id, token)
+            except RemoteAuthError as refusal:
+                refusals.append(refusal)
+        if refusals:
+            raise refusals[0]
+
+    monkeypatch.setattr(AuthClient, "_ack_round", per_device)
 
 
 def end_state(service, devices):
@@ -105,11 +114,11 @@ async def gateway_rounds(served, groups, expect_error=None):
     return version, reports, server.metrics
 
 
-async def raw_call(port, request, minor=SCHEMA_MINOR):
+async def raw_call(port, request):
     """``request`` on a fresh raw connection; the server's reply."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
-        write_frame(writer, encode_message(SessionHello("raw", minor=minor)))
+        write_frame(writer, encode_message(SessionHello("raw")))
         await writer.drain()
         welcome = decode_message(await asyncio.wait_for(
             read_frame(reader), 10))
@@ -150,12 +159,11 @@ def sessions(service, devices):
 
 class TestOneAckFramePerRound:
     def test_one_request_and_one_result(self, monkeypatch):
-        advertise_minor(monkeypatch, 3)
         frames = record_writes(monkeypatch)
         served, gateway = provision(), provision()
         version, (report,), __ = asyncio.run(
             gateway_rounds(served, [gateway.device_list]))
-        assert version == (1, 3)
+        assert version == (1, 4)
         assert report.n_accepted == 8
         acks = acks_written(frames)
         assert len(acks["client"]) == 1 and len(acks["server"]) == 1
@@ -172,10 +180,11 @@ class TestOneAckFramePerRound:
 class TestRefusedAcks:
     VICTIMS = ("dev-000005", "dev-000002")
 
-    def run_with_revocations(self, monkeypatch, legacy):
+    def run_with_revocations(self, monkeypatch, per_device):
         """Revoke the victims server-side just before the client's
         first write holding an ack."""
-        advertise_minor(monkeypatch, 2 if legacy else 3)
+        if per_device:
+            ack_per_device(monkeypatch)
         frames = record_writes(monkeypatch)
         served, gateway = provision(), provision()
         recording = client_mod.write_frame
@@ -197,8 +206,8 @@ class TestRefusedAcks:
     def test_refused_entries_are_named_and_the_rest_applied(
             self, monkeypatch):
         version, error, metrics, acks, state = self.run_with_revocations(
-            monkeypatch, legacy=False)
-        assert version == (1, 3)
+            monkeypatch, per_device=False)
+        assert version == (1, 4)
         # The client raises on the first refused ack in request order.
         assert error.kind is FailureKind.NO_SESSION
         assert "dev-000002" in str(error)
@@ -219,12 +228,11 @@ class TestRefusedAcks:
 
     def test_state_equals_per_device_acks(self, monkeypatch):
         __, round_error, round_metrics, round_acks, round_state = \
-            self.run_with_revocations(monkeypatch, legacy=False)
+            self.run_with_revocations(monkeypatch, per_device=False)
         assert len(round_acks["client"]) == len(round_acks["server"]) == 1
         monkeypatch.undo()
-        version, error, metrics, acks, state = self.run_with_revocations(
-            monkeypatch, legacy=True)
-        assert version == (1, 2)
+        __, error, metrics, acks, state = self.run_with_revocations(
+            monkeypatch, per_device=True)
         assert len(acks["client"]) == 8 and len(acks["server"]) == 8
         assert state == round_state
         assert (error.kind, str(error)) == \
@@ -304,58 +312,18 @@ class TestHostileAcks:
         assert settled == [1, 1, 1, 1]
 
 
-class TestVersionGate:
-    def test_minor_2_connections_ack_per_device(self, monkeypatch):
-        # The server refuses the round form on a 1.2 connection...
-        async def main():
-            served, gateway = provision(n_devices=4), provision(n_devices=4)
-            devices = gateway.device_list
-            async with AuthServer(served) as server:
-                async with AuthClient.connect(
-                        "127.0.0.1", server.port) as client:
-                    nonces = await confirmed_round(client, devices)
-                    result = await raw_call(server.port, round_finalize(
-                        [(device_id, nonce, "finalize")
-                         for device_id, nonce in nonces.items()]),
-                        minor=2)
-                    applied = sessions(served, devices)
-                    for device_id, nonce in nonces.items():
-                        await client.finalize(device_id, nonce)
-            return result, applied
-
-        result, applied = asyncio.run(main())
-        assert not result.ok
-        assert result.detail["kind"] == \
-            FailureKind.UNSUPPORTED_VERSION.value.encode()
-        assert b"1.3" in result.detail["failure"]
-        assert applied == [0, 0, 0, 0]
-        # ...and a client that negotiated 1.2 acks per device.
-        advertise_minor(monkeypatch, 2)
-        frames = record_writes(monkeypatch)
-        served, gateway = provision(), provision()
-        version, (report,), __ = asyncio.run(
-            gateway_rounds(served, [gateway.device_list]))
-        assert version == (1, 2)
-        assert report.n_accepted == 8
-        acks = acks_written(frames)
-        assert [(m.verb, m.device_id) for m in acks["client"]] == \
-            [("finalize", device.device_id) for device in gateway.device_list]
-        assert len(acks["server"]) == 8
-        assert all(result.ok for result in acks["server"])
-        assert sessions(served, gateway.device_list) == [1] * 8
-
-
-Run = namedtuple("Run", "version frames reports state commit_log")
+Run = namedtuple("Run", "frames reports state commit_log")
 
 
 class TestEquivalence:
-    """The same seeded rounds acked per device (1.2) and per round
-    (1.3): every other frame and every end state match."""
+    """The same seeded rounds acked per device and per round: every
+    other frame and every end state match."""
 
     REFUSER = "dev-000003"
 
-    def run(self, monkeypatch, legacy):
-        advertise_minor(monkeypatch, 2 if legacy else 3)
+    def run(self, monkeypatch, per_device):
+        if per_device:
+            ack_per_device(monkeypatch)
         frames = record_writes(monkeypatch)
         confirm = FleetDevice.confirm
 
@@ -370,50 +338,40 @@ class TestEquivalence:
         served, gateway = provision(n_devices=12), provision(n_devices=12)
         devices = gateway.device_list
         groups = [devices[:6], devices[6:], devices[:6], devices[6:]]
-        version, reports, __ = asyncio.run(gateway_rounds(served, groups))
+        __, reports, __ = asyncio.run(gateway_rounds(served, groups))
         monkeypatch.undo()
-        return Run(version, frames, reports, end_state(served, devices),
+        return Run(frames, reports, end_state(served, devices),
                    served.verifier.commit_log)
 
     @staticmethod
     def comparable(written):
-        """The frames that are not acks; HELLO and WELCOME with their
-        advertised minor blanked."""
-        kept = []
-        for frame in written:
-            message = decode_message(frame)
-            if is_ack(message):
-                continue
-            if isinstance(message, (SessionHello, SessionWelcome)):
-                frame = (type(message).__name__, message.peer,
-                         message.major)
-            kept.append(frame)
-        return kept
+        """The frames that are not acks."""
+        return [frame for frame in written
+                if not is_ack(decode_message(frame))]
 
     def test_same_frames_and_end_state(self, monkeypatch):
-        legacy = self.run(monkeypatch, legacy=True)
-        current = self.run(monkeypatch, legacy=False)
-        assert (legacy.version, current.version) == ((1, 2), (1, 3))
+        per_device = self.run(monkeypatch, per_device=True)
+        current = self.run(monkeypatch, per_device=False)
         for side in ("server", "client"):
-            assert self.comparable(legacy.frames[side]) == \
+            assert self.comparable(per_device.frames[side]) == \
                 self.comparable(current.frames[side])
-        legacy_acks = acks_written(legacy.frames)
+        per_device_acks = acks_written(per_device.frames)
         current_acks = acks_written(current.frames)
-        assert len(legacy_acks["client"]) == 4 * 6
+        assert len(per_device_acks["client"]) == 4 * 6
         assert len(current_acks["client"]) == 4
         assert len(current_acks["server"]) == 4
         verdicts = [decode_fields(request.params["acks"])[2::3]
                     for request in current_acks["client"]]
         assert [verdict.count(b"abort") for verdict in verdicts] == \
             [1, 0, 1, 0]
-        for index, (legacy_report, report) in enumerate(
-                zip(legacy.reports, current.reports)):
+        for index, (per_device_report, report) in enumerate(
+                zip(per_device.reports, current.reports)):
             assert isinstance(report, BatchAuthReport)
-            assert report.confirmations == legacy_report.confirmations
-            assert report.failure_kinds == legacy_report.failure_kinds == (
+            assert report.confirmations == per_device_report.confirmations
+            assert report.failure_kinds == per_device_report.failure_kinds == (
                 {} if index % 2 else {self.REFUSER: "bad-confirmation"})
-        assert legacy.state == current.state
-        assert len(current.commit_log) == len(legacy.commit_log)
+        assert per_device.state == current.state
+        assert len(current.commit_log) == len(per_device.commit_log)
         # Every device, the refuser included, agrees with its record.
         assert [(device, record) for __, device, record in current.state] \
             == [(device, (device, 0 if device_id == self.REFUSER else 2))

@@ -4,15 +4,14 @@ The ``open-round`` RESULT carries the round's ``(device id, nonce)``
 pairs and its policy vetoes, the ``close-round`` REQUEST every response
 as a ``(device id, body, tag)`` row, answered by the ``REPORT`` alone,
 and the round ``finalize`` is 1.3's.  Frames are counted where each
-side hands them to ``write_frame``.  The same seeded rounds at 1.3 (the
-client asks for it in its HELLO) leave the same reports and state.
-Verb params that do not parse are refused with a ``malformed-message``
-failure RESULT before any state changes, and the connection keeps
-serving.
+side hands them to ``write_frame``.  The same seeded rounds run in
+process on a twin service (``AuthService.authenticate_batch``) leave
+the same reports and state.  Verb params that do not parse are refused
+with a ``malformed-message`` failure RESULT before any state changes,
+and the connection keeps serving.
 """
 
 import asyncio
-import functools
 from collections import namedtuple
 
 import numpy as np
@@ -50,12 +49,6 @@ def provision(n_devices=8, seed=11, policies=(), **kwargs):
     return AuthService.provision(FleetConfig(
         n_devices=n_devices, seed=seed, puf=FAST_PUF, **kwargs),
         policies=policies)
-
-
-def advertise_minor(monkeypatch, minor):
-    """``AuthClient``'s HELLO advertises wire ``1.minor``."""
-    monkeypatch.setattr(client_mod, "SessionHello",
-                        functools.partial(SessionHello, minor=minor))
 
 
 def record_writes(monkeypatch):
@@ -100,11 +93,11 @@ async def reply(reader):
     return None if frame is None else decode_message(frame)
 
 
-async def raw_session(port, minor=4):
+async def raw_session(port):
     """A handshaken raw connection: ``call(request)`` answers with the
     server's reply to it."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    write_frame(writer, encode_message(SessionHello("raw", minor=minor)))
+    write_frame(writer, encode_message(SessionHello("raw")))
     await writer.drain()
     assert isinstance(await reply(reader), SessionWelcome)
 
@@ -157,10 +150,9 @@ class TestThreeFramesEachWay:
 
 
     def test_server_encodes_only_what_it_writes(self, monkeypatch):
-        # No CHALLENGE or CONFIRMATION is built for a 1.4 round: the
+        # No CHALLENGE or CONFIRMATION is built for a gateway round: the
         # server encodes the open-round RESULT, the REPORT and the ack
-        # RESULT, where a 1.3 round also encodes one CHALLENGE and one
-        # CONFIRMATION per device.
+        # RESULT.
         encoded = []
         for module in (server_mod, facade_mod):
             def counting(message, _encode=module.encode_message):
@@ -172,31 +164,49 @@ class TestThreeFramesEachWay:
         asyncio.run(gateway_rounds(served, [gateway.device_list]))
         assert encoded == ["SessionWelcome", "SessionResult",
                            "BatchAuthReport", "SessionResult"]
-        encoded.clear()
-        advertise_minor(monkeypatch, 3)
-        served, gateway = provision(), provision()
-        asyncio.run(gateway_rounds(served, [gateway.device_list]))
-        assert encoded.count("AuthChallenge") == 8
-        assert encoded.count("AuthConfirmation") == 8
+
+
+def rate_limited():
+    return [RateLimitPolicy(max_requests=1, window_s=60.0)]
+
+
+def refusing_confirmations(monkeypatch, refuser):
+    """``FleetDevice.confirm`` refuses every confirmation ``refuser``
+    gets."""
+    confirm = FleetDevice.confirm
+
+    def refusing(device, mac, nonce=None):
+        if device.device_id == refuser:
+            raise AuthenticationFailure("forced refusal",
+                                        FailureKind.BAD_CONFIRMATION)
+        return confirm(device, mac, nonce)
+
+    monkeypatch.setattr(FleetDevice, "confirm", refusing)
+
+
+def same_reports(served, in_process):
+    return [(report.confirmations, report.failures, report.failure_kinds)
+            for report in served] == \
+        [(report.confirmations, report.failures, report.failure_kinds)
+         for report in in_process]
 
 
 class TestVetoes:
-    def run(self, monkeypatch, minor):
-        advertise_minor(monkeypatch, minor)
+    GROUPS = (slice(0, 1), slice(0, 2))
+
+    def run(self, monkeypatch):
         frames = record_writes(monkeypatch)
-        served = provision(
-            n_devices=4,
-            policies=[RateLimitPolicy(max_requests=1, window_s=60.0)])
+        served = provision(n_devices=4, policies=rate_limited())
         devices = provision(n_devices=4).device_list
         version, reports, metrics = asyncio.run(gateway_rounds(
-            served, [devices[:1], devices[:2]]))
+            served, [devices[group] for group in self.GROUPS]))
         monkeypatch.undo()
         return (version, reports, metrics, served,
                 [decode_message(frame) for frame in frames["server"]])
 
     def test_vetoes_ride_the_open_round_result(self, monkeypatch):
         version, (first, second), metrics, served, written = self.run(
-            monkeypatch, minor=4)
+            monkeypatch)
         assert version == (1, 4)
         assert first.n_accepted == 1
         assert list(second.confirmations) == ["dev-000001"]
@@ -217,65 +227,75 @@ class TestVetoes:
                     and message.verb == "auth"]
         assert served.verifier._nonce_counter == 2
 
-    def test_same_reports_and_counts_as_wire_1_3(self, monkeypatch):
-        legacy = self.run(monkeypatch, minor=3)
-        current = self.run(monkeypatch, minor=4)
-        assert (legacy[0], current[0]) == ((1, 3), (1, 4))
-        for old, new in zip(legacy[1], current[1]):
-            assert (old.confirmations, old.failures, old.failure_kinds) == \
-                (new.confirmations, new.failures, new.failure_kinds)
-        assert legacy[2].auths_failed == current[2].auths_failed == 1
+    def test_same_reports_and_counts_as_in_process(self, monkeypatch):
+        __, reports, metrics, __, __ = self.run(monkeypatch)
+        twin = provision(n_devices=4, policies=rate_limited())
+        in_process = [twin.authenticate_batch(twin.device_list[group])
+                      for group in self.GROUPS]
+        assert same_reports(reports, in_process)
+        assert metrics.auths_failed == 1 == sum(
+            len(report.failures) for report in in_process)
 
 
-Run = namedtuple("Run", "version acks reports state commit_log")
+Run = namedtuple("Run", "acks reports state commit_log")
 
 
-class TestEquivalenceWithWire13:
+class TestEquivalenceWithInProcess:
     """The same seeded rounds, one device refusing its confirmations,
-    at 1.3 and at 1.4."""
+    served and in process on a twin service."""
 
     REFUSER = "dev-000003"
 
-    def run(self, monkeypatch, minor):
-        advertise_minor(monkeypatch, minor)
+    @staticmethod
+    def groups(devices):
+        return [devices[:6], devices[6:], devices[:6], devices[6:]]
+
+    def served(self, monkeypatch):
         frames = record_writes(monkeypatch)
-        confirm = FleetDevice.confirm
-
-        def refusing(device, mac, nonce=None):
-            if device.device_id == self.REFUSER:
-                raise AuthenticationFailure("forced refusal",
-                                            FailureKind.BAD_CONFIRMATION)
-            return confirm(device, mac, nonce)
-
-        monkeypatch.setattr(FleetDevice, "confirm", refusing)
+        refusing_confirmations(monkeypatch, self.REFUSER)
         served, gateway = provision(n_devices=12), provision(n_devices=12)
         devices = gateway.device_list
-        groups = [devices[:6], devices[6:], devices[:6], devices[6:]]
-        version, reports, __ = asyncio.run(gateway_rounds(served, groups))
+        __, reports, __ = asyncio.run(gateway_rounds(
+            served, self.groups(devices)))
         monkeypatch.undo()
-        acks = [frame for frame in frames["client"]
-                if getattr(decode_message(frame), "verb", "") == "finalize"]
-        return Run(version, acks, reports, end_state(served, devices),
+        acks = [message for message in map(decode_message, frames["client"])
+                if getattr(message, "verb", "") == "finalize"]
+        return Run(acks, reports, end_state(served, devices),
                    served.verifier.commit_log)
+
+    def in_process(self, monkeypatch):
+        refusing_confirmations(monkeypatch, self.REFUSER)
+        twin = provision(n_devices=12)
+        devices = twin.device_list
+        reports = [twin.authenticate_batch(group)
+                   for group in self.groups(devices)]
+        monkeypatch.undo()
+        return Run([], reports, end_state(twin, devices),
+                   twin.verifier.commit_log)
 
     def test_same_reports_registry_devices_and_commit_log(self,
                                                           monkeypatch):
-        legacy = self.run(monkeypatch, minor=3)
-        current = self.run(monkeypatch, minor=4)
-        assert (legacy.version, current.version) == ((1, 3), (1, 4))
-        for index, (old, new) in enumerate(zip(legacy.reports,
-                                               current.reports)):
-            assert (old.confirmations, old.failures) == \
-                (new.confirmations, new.failures)
-            assert old.failure_kinds == new.failure_kinds == (
-                {} if index % 2 else {self.REFUSER: "bad-confirmation"})
-        assert legacy.state == current.state
-        assert len(current.commit_log) == len(legacy.commit_log)
-        # The acks go out in the order the responses did: the round
-        # finalize frames are the same bytes at both minors.
-        assert len(current.acks) == 4
-        assert current.acks == legacy.acks
-        for device_id, device, record, sessions in current.state:
+        served = self.served(monkeypatch)
+        in_process = self.in_process(monkeypatch)
+        assert same_reports(served.reports, in_process.reports)
+        assert [report.failure_kinds for report in served.reports] == \
+            [{self.REFUSER: "bad-confirmation"}, {}] * 2
+        assert served.state == in_process.state
+        # The refuser's candidate stays parked on the server: its
+        # confirmation left before the abort came back, so only the
+        # device's next message settles it.  In process it never left.
+        assert served.commit_log.device_ids() == [self.REFUSER]
+        assert len(in_process.commit_log) == 0
+        # The acks go out in the order the responses did, the refuser's
+        # an abort.
+        assert len(served.acks) == 4
+        for ack, group in zip(served.acks, self.groups(
+                [device_id for device_id, *__ in served.state])):
+            acks = decode_fields(ack.params["acks"])
+            assert acks[0::3] == [device_id.encode() for device_id in group]
+            assert acks[2::3] == [b"abort" if device_id == self.REFUSER
+                                  else b"finalize" for device_id in group]
+        for device_id, device, record, sessions in served.state:
             assert device == record
             assert sessions == (0 if device_id == self.REFUSER else 2)
 
@@ -344,6 +364,36 @@ class TestRefusedCloseRound:
         assert "65 responses" in str(error)
         assert [sessions for *__, sessions in state] == [0]
         assert report.n_accepted == 1
+
+    def test_a_fenced_close_round_ends_the_round(self):
+        # The fence refuses only the close-round of a 1-device round and
+        # then lifts: the refusal ended the round on both sides, so the
+        # connection's next round is served.
+        refusal = AuthenticationFailure("fenced for the test",
+                                        FailureKind.LEASE_EXPIRED)
+        fenced = [False]
+
+        async def main():
+            served, gateway = provision(n_devices=1), provision(n_devices=1)
+            (device,) = gateway.device_list
+            async with AuthServer(served, fence=lambda: (
+                    refusal if fenced[0] else None)) as server:
+                async with AuthClient.connect(
+                        "127.0.0.1", server.port) as client:
+                    nonces = await client.open_round_wire([device.device_id])
+                    fenced[0] = True
+                    with pytest.raises(RemoteAuthError) as excinfo:
+                        await client.verify_round_wire(
+                            [device.respond(nonces[device.device_id])])
+                    fenced[0] = False
+                    refused_state = end_state(served, [device])
+                    report = await client.authenticate_batch([device])
+            return excinfo.value, refused_state, report
+
+        error, state, report = asyncio.run(main())
+        assert error.kind is FailureKind.LEASE_EXPIRED
+        assert [sessions for *__, sessions in state] == [0]
+        assert report.n_accepted == 1, report.failures
 
 
 def spot_service():
@@ -500,30 +550,3 @@ class TestMalformedParams:
         refused, scraped = asyncio.run(main())
         assert_malformed(refused, "metrics")
         assert scraped.ok and scraped.detail["format"] == b"json"
-
-
-class TestVersionGate:
-    def test_minor_3_gets_per_device_frames_and_no_responses_param(self):
-        async def main():
-            served = provision(n_devices=1)
-            async with AuthServer(served) as server:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port)
-                write_frame(writer, encode_message(
-                    SessionHello("raw", minor=3)))
-                write_frame(writer, encode_message(SessionRequest(
-                    "open-round", params={"ids": rows([b"dev-000000"])})))
-                write_frame(writer, encode_message(SessionRequest(
-                    "close-round", params={"responses": b""})))
-                await writer.drain()
-                replies = [await reply(reader) for __ in range(4)]
-                writer.close()
-            return replies
-
-        welcome, challenge, opened, refused = asyncio.run(main())
-        assert isinstance(welcome, SessionWelcome) and welcome.minor == 3
-        assert type(challenge).__name__ == "AuthChallenge"
-        assert opened.verb == "open-round" and "nonces" not in opened.detail
-        assert (refused.verb, refused.ok) == ("close-round", False)
-        assert refused.detail["kind"] == \
-            FailureKind.UNSUPPORTED_VERSION.value.encode()
