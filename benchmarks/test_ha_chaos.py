@@ -31,6 +31,7 @@ import time
 from repro.service import AuthService, FleetConfig, HAConfig
 from repro.service.ha import KillEvent, ReplicaGroup, run_replicated_campaign
 from repro.service.net import AuthClient, AuthServer, LegChaos, NetConfig
+from tests.asyncio_guard import no_asyncio_errors  # noqa: F401
 
 DEVICES = int(os.environ.get("HA_BENCH_DEVICES", "64"))
 ROUNDS = int(os.environ.get("HA_BENCH_ROUNDS", "3"))

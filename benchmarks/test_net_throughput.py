@@ -20,6 +20,7 @@ import time
 
 from repro.service import AuthService, FleetConfig
 from repro.service.net import AuthClient, AuthServer, NetConfig
+from tests.asyncio_guard import no_asyncio_errors  # noqa: F401
 
 CONNS = int(os.environ.get("NET_BENCH_CONNS", "1000"))
 WAVES = int(os.environ.get("NET_BENCH_WAVES", "3"))

@@ -37,6 +37,7 @@ from repro.service import AuthService, FleetConfig, HAConfig
 from repro.service.ha import HAAuthClient, KillEvent, ReplicaGroup, \
     run_replicated_campaign
 from repro.service.net import AuthClient, AuthServer, LegChaos, NetConfig
+from tests.asyncio_guard import no_asyncio_errors  # noqa: F401
 
 DEVICES = int(os.environ.get("OBS_BENCH_DEVICES", "64"))
 ROUNDS = int(os.environ.get("OBS_BENCH_ROUNDS", "2"))

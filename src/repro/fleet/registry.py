@@ -69,6 +69,11 @@ __all__ = [
 ]
 
 
+def _not_enrolled(device_id: str) -> AuthenticationFailure:
+    return AuthenticationFailure(f"device {device_id!r} is not enrolled",
+                                 FailureKind.NOT_ENROLLED)
+
+
 class FleetRegistry:
     """Enrollment registry: device_id -> :class:`DeviceRecord`.
 
@@ -202,10 +207,7 @@ class FleetRegistry:
         try:
             return self.backend.get(device_id)
         except KeyError:
-            raise AuthenticationFailure(
-                f"device {device_id!r} is not enrolled",
-                FailureKind.NOT_ENROLLED,
-            ) from None
+            raise _not_enrolled(device_id) from None
 
     def revoke(self, device_id: str) -> DeviceRecord:
         """Remove one device from the fleet (decommissioned/compromised)."""
@@ -225,8 +227,15 @@ class FleetRegistry:
         return np.vstack([self.record(d).current_response for d in device_ids])
 
     def roll(self, device_id: str, new_response: np.ndarray) -> None:
-        """Atomically advance one device's rolling CRP."""
-        self.record(device_id)  # uniform not-enrolled failure
+        """Atomically advance one device's rolling CRP.
+
+        Enrollment is screened by membership, which reads no record: the
+        backend's own roll is the one access (on the sharded backend it
+        pages the record in only when it was evicted).  A missing id
+        raises the uniform ``not-enrolled`` failure.
+        """
+        if device_id not in self.backend:
+            raise _not_enrolled(device_id)
         self.backend.roll(device_id, new_response)
 
     def draw_spot_indices(self, device_id: str, k: int,

@@ -24,6 +24,8 @@ fleet from one photonic die family.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import struct
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -46,7 +48,7 @@ from repro.protocols.mutual_auth import (
     unmask_clock_count,
 )
 from repro.utils.bits import bits_from_bytes
-from repro.utils.rng import derive_bytes, derive_rng
+from repro.utils.rng import derive_bytes_batch, derive_rng
 from repro.utils.serialization import (
     decode_fields,
     encode_fields,
@@ -56,6 +58,26 @@ from repro.utils.serialization import (
 
 
 DEFAULT_CLOCK_COUNT = 100_000
+
+#: The four length prefixes of a canonical response body.
+_PREFIXES = struct.Struct(">4I")
+
+#: Integers below this convert to float64 exactly.
+_EXACT_FLOAT = 2 ** 53
+
+
+def _stack_rows(rows: List[np.ndarray]):
+    """Equal-width bit rows as one ``uint8`` matrix; ragged rows (or
+    none) stay the list."""
+    if rows and len({row.size for row in rows}) == 1:
+        return np.array(rows, dtype=np.uint8)
+    return rows
+
+
+def _byte_matrix(blobs: Sequence[bytes]) -> np.ndarray:
+    """Equal-length byte strings as the rows of one ``uint8`` matrix."""
+    return np.frombuffer(b"".join(blobs), dtype=np.uint8).reshape(
+        len(blobs), -1)
 
 
 def provisioning_challenge(seed: int, device_id: str,
@@ -456,14 +478,28 @@ class BatchVerifier:
         return self._nonce_epoch * self.n_replicas + self.replica_index
 
     def open_round(self, device_ids: Sequence[str]) -> Dict[str, bytes]:
-        """Fresh per-request nonces for every device in the round."""
-        nonces = {}
-        for device_id in device_ids:
-            self.registry.record(device_id)  # fail fast on unknown devices
-            nonce = derive_bytes(16, self.seed, "fleet-nonce",
-                                 self.stream_epoch, self._nonce_counter)
-            self._nonce_counter += 1
-            nonces[device_id] = nonce
+        """Fresh per-request nonces for every device in the round.
+
+        Enrollment is screened by membership (``device_id in registry``),
+        which reads no record: on the sharded backend it pages nothing
+        in.  An unknown id fails the whole call with ``not-enrolled``,
+        after the counter advanced past the ids listed before it.  The
+        nonces derive in one pass (:func:`derive_bytes_batch`): nonce
+        ``i`` is ``derive_bytes(16, seed, "fleet-nonce", stream epoch,
+        counter + i)``.
+        """
+        device_ids = list(device_ids)
+        registry = self.registry
+        for index, device_id in enumerate(device_ids):
+            if device_id not in registry:
+                # The ids before it drew their nonces, as in a per-id loop.
+                self._nonce_counter += index
+                registry.record(device_id)  # the uniform not-enrolled failure
+        first = self._nonce_counter
+        self._nonce_counter += len(device_ids)
+        nonces = dict(zip(device_ids, derive_bytes_batch(
+            16, self.seed, ("fleet-nonce", self.stream_epoch),
+            range(first, self._nonce_counter))))
         if self._obs is not None:
             self._obs.on_challenge(self, nonces)
         return nonces
@@ -497,17 +533,23 @@ class BatchVerifier:
                            responses: Sequence[AuthResponse],
                            nonces: Dict[str, bytes],
                            seen_this_round: set) -> None:
-        """One verification stage: framing checks, MACs, confirmations.
+        """One verification stage: screening, MACs, framing, confirmations.
 
-        Stage 1 runs the cheap byte-level framing checks and collects
-        every candidate's MAC into one batched verification; stage 2
-        unmasks all surviving responses as one stacked XOR, derives
-        their next challenges in one batched DRBG expansion, and frames
-        all confirmations in one batched MAC pass.  Failure kinds and
-        their precedence are identical to the sequential path.
+        Stage 1 screens each message (duplicate, enrollment, nonce,
+        replay) and reads its device's record, the round's one registry
+        read per device.  The candidates' stored responses stack into
+        one matrix, packed once: the packed rows key one batched MAC
+        check and feed the c_{i+1} derivation.  Stage 2 checks the
+        framing of every MAC-valid body as columns
+        (:meth:`_check_columns`); a row that is not canonical or fails a
+        column check takes the per-row check (:meth:`_check_row`), which
+        alone refuses, so every failure keeps its kind, its reason and
+        the sequential precedence.  Stage 3 unmasks the accepted rows as
+        one XOR, derives their next challenges in one batched DRBG
+        expansion, and frames all confirmations in one batched MAC pass.
         """
         self._recover_interrupted(responses)
-        candidates: List[tuple] = []  # (response, record, bound checks ok)
+        candidates: List[tuple] = []  # (response, record, nonce)
         for response in responses:
             try:
                 if response.device_id in seen_this_round:
@@ -532,101 +574,188 @@ class BatchVerifier:
                 report.record_failure(response.device_id, failure)
                 continue
             candidates.append((response, record, nonce))
-        # Batched MAC stage: every candidate's tag in one call, keys
-        # packed as one round-wide packbits pass.
+        # One matrix per round (ragged widths, from mixed device
+        # generations, stay a list of rows).
+        stored = _stack_rows([record.current_response
+                              for __, record, __ in candidates])
+        keys = pad_bits_batch(stored)
         mac_ok = verify_mac_batch(
-            [candidate[0].body for candidate in candidates],
-            pad_bits_batch([candidate[1].current_response
-                            for candidate in candidates]),
-            [candidate[0].tag for candidate in candidates],
+            [response.body for response, __, __ in candidates], keys,
+            [response.tag for response, __, __ in candidates],
         )
-        valid: List[tuple] = []  # (response, record)
-        masked_rows: List[np.ndarray] = []
-        stored_rows: List[np.ndarray] = []
-        for (response, record, nonce), tag_ok in zip(candidates, mac_ok):
-            try:
-                if not tag_ok:
-                    raise AuthenticationFailure("device MAC rejected",
-                                                FailureKind.BAD_MAC)
-                # A MAC-valid body can still be malformed (buggy device
-                # firmware MACs whatever it framed); that must fail this
-                # device only, never abort the whole round.
+        # candidate index -> its masked response bits, once checked.
+        masked = self._check_columns(candidates, mac_ok, stored)
+        valid: List[int] = []
+        for index, ((response, record, nonce), tag_ok) in enumerate(
+                zip(candidates, mac_ok)):
+            if index not in masked:
                 try:
-                    fields = decode_fields(response.body)
-                    if len(fields) != 4:
-                        raise ValueError(
-                            f"expected 4 fields, got {len(fields)}"
-                        )
-                    session_raw, masked, integrity, echoed = fields
-                except ValueError as exc:
-                    raise AuthenticationFailure(
-                        f"malformed body: {exc}", FailureKind.MALFORMED,
-                    ) from exc
-                if int.from_bytes(session_raw, "big") != record.sessions:
-                    raise AuthenticationFailure("session index mismatch",
-                                                FailureKind.SESSION_MISMATCH)
-                if echoed != nonce:
-                    raise AuthenticationFailure(
-                        "nonce mismatch (replay or delay)",
-                        FailureKind.NONCE_MISMATCH,
-                    )
-                clock_count = unmask_clock_count(integrity,
-                                                 record.firmware_hash)
-                check_clock_count(clock_count, record.expected_clock_count,
-                                  self.clock_tolerance)
-                bits = bits_from_bytes(masked)
-                if bits.size < record.current_response.size:
-                    # A short row would make the stacked unmasking matrix
-                    # ragged and crash np.vstack for everyone.
-                    raise AuthenticationFailure(
-                        f"masked response field holds {bits.size} bits, "
-                        f"expected {record.current_response.size}",
-                        FailureKind.MALFORMED,
-                    )
-            except AuthenticationFailure as failure:
-                report.record_failure(response.device_id, failure)
-                continue
+                    masked[index] = self._check_row(response, record, nonce,
+                                                    tag_ok)
+                except AuthenticationFailure as failure:
+                    report.record_failure(response.device_id, failure)
+                    continue
             # Cache the replay tag only once every check passed: a
             # rejected message fails the same deterministic checks on
             # replay, so caching it would only grow the per-device set
             # without bound for a device that never reaches finalize.
             self._seen_tags.setdefault(response.device_id, set()).add(
                 bytes(response.tag))
-            valid.append((response, record))
-            masked_rows.append(bits[: record.current_response.size])
-            stored_rows.append(record.current_response)
+            valid.append(index)
         if not valid:
             return
         # Vectorized unmasking over the whole round: r_{i+1} = m XOR r_i.
-        stored = np.vstack(stored_rows).astype(np.uint8)
+        if isinstance(stored, np.ndarray):
+            stored = stored[valid]
+        else:
+            stored = np.vstack([stored[index]
+                                for index in valid]).astype(np.uint8)
         new_responses = np.bitwise_xor(
-            np.vstack(masked_rows).astype(np.uint8), stored,
+            np.array([masked[index] for index in valid], dtype=np.uint8),
+            stored,
         )
+        accepted = [candidates[index] for index in valid]
         # The confirmation MAC proves knowledge of c_{i+1}; gather every
-        # accepted device's derivation into one batched DRBG expansion.
-        challenge_bits = [record.challenge_bits for __, record in valid]
+        # accepted device's derivation into one batched DRBG expansion,
+        # from the keys already packed for the MAC check.
+        challenge_bits = [record.challenge_bits for __, record, __ in accepted]
         if len(set(challenge_bits)) == 1:
-            challenges = derive_challenge_batch(stored, challenge_bits[0])
+            challenges = derive_challenge_batch(
+                stored, challenge_bits[0],
+                packed=[keys[index] for index in valid])
         else:
             challenges = [derive_challenge(stored[row], challenge_bits[row])
                           for row in range(len(valid))]
         confirmations = confirmation_mac_batch(
-            challenges,
-            [nonces[response.device_id] for response, __ in valid],
-            new_responses,
+            challenges, [nonce for __, __, nonce in accepted], new_responses,
         )
-        for row, (response, record) in enumerate(valid):
+        for row, (response, record, nonce) in enumerate(accepted):
             # The pending is stamped with its round nonce so finalize and
             # abort acks can prove which round they speak for: a delayed
             # or duplicated ack frame from a superseded round must never
             # settle (or roll!) a later session (see :meth:`finalize`).
             self._pending[response.device_id] = (
-                bytes(nonces[response.device_id]), new_responses[row])
+                bytes(nonce), new_responses[row])
             # Write-ahead: park the candidate before the confirmation can
             # leave the verifier, keyed to the session it closes.
             self.commit_log.park(response.device_id, record.sessions,
                                  new_responses[row])
             report.confirmations[response.device_id] = confirmations[row]
+
+    def _check_columns(self, candidates: List[tuple], mac_ok: List[bool],
+                       stored) -> Dict[int, np.ndarray]:
+        """The masked response bits of every MAC-valid candidate whose
+        body passes the framing checks as columns, by candidate index.
+
+        A canonical body is four length-prefixed fields: a 4-byte
+        session, ``ceil(response_bits / 8)`` masked bytes, an integrity
+        field as wide as the record's firmware hash, and a nonce-wide
+        echo.  The canonical bodies of one layout form one ``uint8``
+        matrix, and every check is an array comparison: the four
+        prefixes, the session against each record's ``sessions``, the
+        echoed nonce, the zero head of ``integrity XOR firmware_hash``
+        and the clock band; the masked bits come from one
+        ``np.unpackbits``.  A row that passes here passes every check of
+        :meth:`_check_row` with the same bits.  Left out, for the
+        per-row check to decide: bodies that are not canonical (an
+        8-byte session field and a masked field one byte too long are
+        MAC-valid and accepted there), rows a column check refuses,
+        hashes under 8 bytes, and clock counts or references of 2**53
+        or more, which a float64 column cannot compare exactly.
+        """
+        passed: Dict[int, np.ndarray] = {}
+        if not isinstance(stored, np.ndarray):
+            return passed
+        n_bits = stored.shape[1]
+        n_masked = -(-n_bits // 8)
+        layouts: Dict[Tuple[int, int], List[int]] = {}
+        for index, ((response, record, nonce), tag_ok) in enumerate(
+                zip(candidates, mac_ok)):
+            if not tag_ok:
+                continue
+            n_hash, n_nonce = len(record.firmware_hash), len(nonce)
+            # Four 4-byte prefixes, the 4-byte session and three fields.
+            if len(response.body) == 20 + n_masked + n_hash + n_nonce:
+                layouts.setdefault((n_hash, n_nonce), []).append(index)
+        tolerance = self.clock_tolerance
+        for (n_hash, n_nonce), rows in layouts.items():
+            if n_hash < 8:
+                continue
+            group = [candidates[index] for index in rows]
+            body = _byte_matrix([response.body for response, __, __ in group])
+            at_hash = 16 + n_masked
+            at_echo = at_hash + n_hash + 4
+            prefixes = np.r_[0:4, 8:12, at_hash - 4:at_hash,
+                             at_echo - 4:at_echo]
+            ok = (body[:, prefixes] == np.frombuffer(
+                _PREFIXES.pack(4, n_masked, n_hash, n_nonce),
+                dtype=np.uint8)).all(axis=1)
+            session = np.ascontiguousarray(body[:, 4:8]).view(">u4")[:, 0]
+            ok &= session == np.fromiter(
+                (record.sessions for __, record, __ in group),
+                dtype=np.int64, count=len(group))
+            ok &= (body[:, at_echo:] == _byte_matrix(
+                [nonce for __, __, nonce in group])).all(axis=1)
+            unmasked = body[:, at_hash:at_hash + n_hash] ^ _byte_matrix(
+                [record.firmware_hash for __, record, __ in group])
+            ok &= ~unmasked[:, :n_hash - 8].any(axis=1)
+            clock = np.ascontiguousarray(
+                unmasked[:, n_hash - 8:]).view(">u8")[:, 0]
+            expected = np.fromiter(
+                (record.expected_clock_count for __, record, __ in group),
+                dtype=np.float64, count=len(group))
+            ok &= (clock < _EXACT_FLOAT) & (np.abs(expected) < _EXACT_FLOAT)
+            counts = clock.astype(np.float64)
+            ok &= (expected * (1 - tolerance) <= counts) \
+                & (counts <= expected * (1 + tolerance))
+            bits = np.unpackbits(body[:, 12:12 + n_masked], axis=1)
+            passed.update(zip(itertools.compress(rows, ok),
+                              bits[ok, :n_bits]))
+        return passed
+
+    def _check_row(self, response: AuthResponse, record, nonce: bytes,
+                   tag_ok: bool) -> np.ndarray:
+        """The per-row framing checks of one candidate, in the sequential
+        precedence; returns its masked response bits or raises."""
+        if not tag_ok:
+            raise AuthenticationFailure("device MAC rejected",
+                                        FailureKind.BAD_MAC)
+        # A MAC-valid body can still be malformed (buggy device
+        # firmware MACs whatever it framed); that must fail this
+        # device only, never abort the whole round.
+        try:
+            fields = decode_fields(response.body)
+            if len(fields) != 4:
+                raise ValueError(
+                    f"expected 4 fields, got {len(fields)}"
+                )
+            session_raw, masked, integrity, echoed = fields
+        except ValueError as exc:
+            raise AuthenticationFailure(
+                f"malformed body: {exc}", FailureKind.MALFORMED,
+            ) from exc
+        if int.from_bytes(session_raw, "big") != record.sessions:
+            raise AuthenticationFailure("session index mismatch",
+                                        FailureKind.SESSION_MISMATCH)
+        if echoed != nonce:
+            raise AuthenticationFailure(
+                "nonce mismatch (replay or delay)",
+                FailureKind.NONCE_MISMATCH,
+            )
+        clock_count = unmask_clock_count(integrity,
+                                         record.firmware_hash)
+        check_clock_count(clock_count, record.expected_clock_count,
+                          self.clock_tolerance)
+        bits = bits_from_bytes(masked)
+        if bits.size < record.current_response.size:
+            # A short row would make the stacked unmasking matrix
+            # ragged and crash np.vstack for everyone.
+            raise AuthenticationFailure(
+                f"masked response field holds {bits.size} bits, "
+                f"expected {record.current_response.size}",
+                FailureKind.MALFORMED,
+            )
+        return bits[: record.current_response.size]
 
     def _recover_interrupted(self, responses: Sequence[AuthResponse]) -> None:
         """Complete interrupted two-phase commits proven by fresh traffic.
@@ -721,6 +850,30 @@ class BatchVerifier:
         self._seen_tags.pop(device_id, None)
         if self._obs is not None:
             self._obs.on_finalize(self, device_id)
+
+    def settle(self, acks: Sequence[Tuple[str, Optional[bytes], str]],
+               ) -> List[Tuple[str, AuthenticationFailure]]:
+        """Apply acks in order inside one registry transaction.
+
+        Each ``(device id, token, verdict)`` ack is a :meth:`finalize`
+        (verdict ``"finalize"``) or an :meth:`abort` (``"abort"``),
+        fenced by its token as those methods fence it.  On a journaling
+        backend the transaction makes a round's rolls one journal write
+        instead of one per device.  Returns the refused acks, in order,
+        as ``(device id, failure)``; a refusal never stops the acks
+        behind it.
+        """
+        refused = []
+        with self.registry.transaction():
+            for device_id, token, verdict in acks:
+                try:
+                    if verdict == "finalize":
+                        self.finalize(device_id, token=token)
+                    else:
+                        self.abort(device_id, token=token)
+                except AuthenticationFailure as failure:
+                    refused.append((device_id, failure))
+        return refused
 
     def expose(self, device_id: str) -> None:
         """Record that this device's confirmation is leaving the server.
@@ -823,7 +976,10 @@ class BatchVerifier:
         duplicate-device set shared across the round, so every device
         gets the verdict :meth:`verify_round` gives it on the flat
         :func:`repro.fleet.rounds.respond_round` output.  Each device
-        then checks its confirmation and is finalized or aborted.
+        then checks its confirmation, and the round's acks (``finalize``
+        for a device that accepted it, ``abort`` for one that refused
+        it) settle in device order through :meth:`settle`, in one
+        registry transaction.
         """
         nonces = self.open_round([device.device_id for device in devices])
         report = BatchAuthReport()
@@ -836,28 +992,30 @@ class BatchVerifier:
             # was issued, matching the wire path's verify_round; the
             # sweep's finalize/abort hooks then settle each one.
             self._obs.on_verify(self, report)
-        # One backend transaction for the whole commit sweep: on a
-        # journaling backend the round's rolls group-commit as a single
-        # write instead of one per device.
-        with self.registry.transaction():
-            for device in devices:
-                confirmation = report.confirmations.get(device.device_id)
-                if confirmation is None:
-                    continue
-                try:
-                    device.confirm(confirmation, nonces[device.device_id])
-                except AuthenticationFailure as failure:
-                    if self._obs is not None:
-                        self._obs.on_result(failure.kind.value)
-                    report.record_failure(
-                        device.device_id,
-                        AuthenticationFailure(f"confirmation: {failure}",
-                                              failure.kind),
-                    )
-                    del report.confirmations[device.device_id]
-                    self.abort(device.device_id)
-                    continue
-                self.finalize(device.device_id)
+        acks = []
+        for device in devices:
+            confirmation = report.confirmations.get(device.device_id)
+            if confirmation is None:
+                continue
+            try:
+                device.confirm(confirmation, nonces[device.device_id])
+            except AuthenticationFailure as failure:
+                if self._obs is not None:
+                    self._obs.on_result(failure.kind.value)
+                report.record_failure(
+                    device.device_id,
+                    AuthenticationFailure(f"confirmation: {failure}",
+                                          failure.kind),
+                )
+                del report.confirmations[device.device_id]
+                acks.append((device.device_id, None, "abort"))
+                continue
+            acks.append((device.device_id, None, "finalize"))
+        refused = self.settle(acks)
+        if refused:
+            # Every ack here has its pending session; a refusal means two
+            # device objects answered for one id, raised as before.
+            raise refused[0][1]
         return report
 
     def spot_check(self, devices: Sequence[FleetDevice], k: int = 8,

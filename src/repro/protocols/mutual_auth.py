@@ -102,21 +102,25 @@ def _pad_bits(bits: BitArray) -> bytes:
 def pad_bits_batch(rows) -> List[bytes]:
     """:func:`_pad_bits` for a whole round of bit rows in one pass.
 
-    Equal-length rows (the common fleet case) pack as one
-    ``np.packbits`` call over the stacked matrix — ``packbits`` pads
-    each row's tail with zero bits exactly like ``_pad_bits``; ragged
-    rows (mixed device generations) fall back per row.  A value above 1
-    raises ``ValueError`` either way.
+    A 2-D array packs as it is, and a sequence of equal-length rows
+    (the common fleet case) is stacked first; either way one
+    ``np.packbits`` call covers the matrix — ``packbits`` pads each
+    row's tail with zero bits exactly like ``_pad_bits``.  Ragged rows
+    (mixed device generations) fall back per row.  A value above 1
+    raises ``ValueError`` on every route.
     """
-    rows = [np.asarray(row, dtype=np.uint8) for row in rows]
-    if not rows:
-        return []
-    if len({row.size for row in rows}) == 1:
+    if isinstance(rows, np.ndarray) and rows.ndim == 2:
+        matrix = np.asarray(rows, dtype=np.uint8)
+    else:
+        rows = [np.asarray(row, dtype=np.uint8) for row in rows]
+        if not rows:
+            return []
+        if len({row.size for row in rows}) != 1:
+            return [_pad_bits(row) for row in rows]
         matrix = np.vstack(rows)
-        _as_bits(matrix)  # the bit check; raises on a value above 1
-        packed = np.packbits(matrix, axis=1)
-        return [row.tobytes() for row in packed]
-    return [_pad_bits(row) for row in rows]
+    _as_bits(matrix)  # the bit check; raises on a value above 1
+    packed = np.packbits(matrix, axis=1)
+    return [row.tobytes() for row in packed]
 
 
 # SHA-256(packed response) + n_bytes -> DRBG expansion.  The verifier
@@ -152,7 +156,9 @@ def derive_challenge(response: BitArray, n_bits: int) -> BitArray:
     return bits_from_bytes(raw)[:n_bits]
 
 
-def derive_challenge_batch(responses, n_bits: int) -> np.ndarray:
+def derive_challenge_batch(responses, n_bits: int,
+                           packed: Optional[List[bytes]] = None,
+                           ) -> np.ndarray:
     """Gathered c_{i+1} derivation for a whole round of sessions.
 
     ``responses`` is ``(n_devices, response_bits)`` (one current response
@@ -162,15 +168,15 @@ def derive_challenge_batch(responses, n_bits: int) -> np.ndarray:
     response rows and the expansion of the output bytes into challenge
     bits run vectorized over the whole round.  This is the gather step
     that lets the fleet verifier run one stacked tensor pass for every
-    device's fresh measurement.
+    device's fresh measurement.  ``packed`` is the rows already packed
+    (``np.packbits`` of each row, as bytes), for a caller that packed
+    them once for its MAC keys too.
     """
     matrix = np.atleast_2d(np.asarray(responses, dtype=np.uint8))
     n_bytes = math.ceil(n_bits / 8)
-    packed = np.packbits(matrix, axis=1)
-    raw = b"".join(
-        _derive_challenge_bytes(row.tobytes(), n_bytes)
-        for row in packed
-    )
+    if packed is None:
+        packed = [row.tobytes() for row in np.packbits(matrix, axis=1)]
+    raw = b"".join(_derive_challenge_bytes(row, n_bytes) for row in packed)
     bits = np.unpackbits(
         np.frombuffer(raw, dtype=np.uint8).reshape(matrix.shape[0], n_bytes),
         axis=1,

@@ -571,8 +571,9 @@ class AuthClient:
     # -- plumbing ---------------------------------------------------------
 
     async def _send(self, *messages) -> None:
-        """Write messages in one write and one drain."""
-        if self._closed:
+        """Write messages in one write and one drain; raise at once on
+        a connection that is closed or ended (see :meth:`_call`)."""
+        if self._closed or self._writer.is_closing():
             raise self._close_error or RemoteAuthError(
                 "connection closed", FailureKind.CONNECTION_LOST)
         frames = [encode_message(message) for message in messages]
@@ -588,7 +589,14 @@ class AuthClient:
                     params: Optional[Dict[str, bytes]] = None,
                     ) -> Union[SessionResult, BatchAuthReport]:
         """One request; its answer within one verb timeout (a RESULT, or
-        the REPORT that answers a close-round)."""
+        the REPORT that answers a close-round).
+
+        Answers carry no request id, so after a timeout this connection
+        cannot tell a late answer from a lost one: a timed-out call ends
+        the connection.  It raises ``asyncio.TimeoutError`` itself, and
+        every other waiter and every later call gets a ``timeout``-kind
+        :class:`RemoteAuthError` at once.
+        """
         key = (verb, device_id)
         future = asyncio.get_running_loop().create_future()
         self._waiters.setdefault(key, deque()).append(future)
@@ -606,7 +614,14 @@ class AuthClient:
             if future.done():
                 future.exception()
             raise
-        return await asyncio.wait_for(future, self._timeout)
+        try:
+            return await asyncio.wait_for(future, self._timeout)
+        except asyncio.TimeoutError:
+            self._fail_all(RemoteAuthError(
+                f"no answer to {verb!r} within {self._timeout} s; "
+                "connection ended", FailureKind.TIMEOUT))
+            self._writer.close()
+            raise
 
     @staticmethod
     def _raise_if_failed(result: SessionResult) -> None:

@@ -59,8 +59,10 @@ each accepted session is exposed and awaits its ack before the
 ``REPORT`` is written.  The round's acks travel in one frame: a
 ``finalize`` REQUEST whose ``acks`` param lists ``(device id, round
 token, verdict)`` triples, applied in order exactly as the per-device
-``finalize`` / ``abort`` verbs apply one ack each, and answered by one
-``RESULT`` that names each refused ack with its reason and kind.  The
+``finalize`` / ``abort`` verbs apply one ack each, all inside one
+registry transaction (:meth:`BatchVerifier.settle`, so a journaling
+backend writes the round's rolls once), and answered by one ``RESULT``
+that names each refused ack with its reason and kind.  The
 server encodes no ``CHALLENGE`` or ``CONFIRMATION`` frame for a gateway
 round.  This is the only form: since 0.17.0 a HELLO below wire 1.4 is
 refused ``unsupported-version`` (the per-device round forms of 1.1–1.3
@@ -102,7 +104,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from collections import deque, namedtuple
+from collections import Counter, deque, namedtuple
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
@@ -954,23 +956,23 @@ class AuthServer:
             return
         if verb == "finalize" and "acks" in params:
             # The round form: every ack of a gateway round in one frame,
-            # applied in order; the refused ones are named in the one
-            # RESULT, each with its reason and kind.
-            refused = []
-            for acked_id, token, verdict in _decode_acks(params["acks"]):
-                try:
-                    self._apply_ack(conn, acked_id, token, verdict)
-                except AuthenticationFailure as failure:
-                    refused.append((acked_id, str(failure),
-                                    failure.kind.value))
+            # applied in order in one registry transaction; the refused
+            # ones are named in the one RESULT, each with its reason and
+            # kind.
+            refused = self._settle(conn, _decode_acks(params["acks"]))
             await conn.send_message(SessionResult(
                 "finalize", device_id, ok=not refused,
-                detail={"refused": _encode_rows(refused)} if refused
+                detail={"refused": _encode_rows(
+                    (acked_id, str(failure), failure.kind.value)
+                    for acked_id, failure in refused)} if refused
                 else {}))
             return
         if verb in ("finalize", "abort"):
             # One device's ack: the round form's one-ack case.
-            self._apply_ack(conn, device_id, params.get("round"), verb)
+            refused = self._settle(
+                conn, [(device_id, params.get("round"), verb)])
+            if refused:
+                raise refused[0][1]
             await conn.send_message(SessionResult(verb, device_id))
             return
         if verb in ("metrics", "trace"):
@@ -1000,22 +1002,25 @@ class AuthServer:
         raise AuthenticationFailure(f"unknown verb {verb!r}",
                                     FailureKind.MALFORMED)
 
-    def _apply_ack(self, conn: _Connection, device_id: str,
-                   token: Optional[bytes], verdict: str) -> None:
-        """Settle one device's two-phase commit with its ack.
+    def _settle(self, conn: _Connection,
+                acks: List[Tuple[str, Optional[bytes], str]],
+                ) -> List[Tuple[str, AuthenticationFailure]]:
+        """Settle two-phase commits with their acks; the refused ones.
 
-        ``verdict`` is ``finalize`` (roll) or ``abort``.  The token (the
-        round's challenge nonce) fences the ack to the round that earned
-        it: a chaos-delayed or duplicated ack must not settle a later
-        pending session, so the verifier ignores a stale one.  A refused
-        ack raises the verifier's failure and stays in ``ack_pending``,
-        so the connection's teardown still aborts it.
+        Each ack's verdict is ``finalize`` (roll) or ``abort``, and the
+        verifier applies them in order in one registry transaction
+        (:meth:`BatchVerifier.settle`).  The token (the round's
+        challenge nonce) fences an ack to the round that earned it: a
+        chaos-delayed or duplicated ack must not settle a later pending
+        session, so the verifier ignores a stale one.  A device leaves
+        ``ack_pending`` once one of its acks applied; a refused ack
+        stays there, so the connection's teardown still aborts it.
         """
-        if verdict == "finalize":
-            self.service.verifier.finalize(device_id, token=token)
-        else:
-            self.service.verifier.abort(device_id, token=token)
-        conn.ack_pending.discard(device_id)
+        refused = self.service.verifier.settle(acks)
+        applied = Counter(acked_id for acked_id, __, __ in acks)
+        applied.subtract(acked_id for acked_id, __ in refused)
+        conn.ack_pending.difference_update(+applied)
+        return refused
 
     def _metrics_registry(self):
         """The registry the ``metrics`` verb serves: the server's own

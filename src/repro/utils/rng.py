@@ -12,19 +12,31 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+from typing import List
 
 import numpy as np
 
 
-def _context_hasher(root_seed: int, *context: object):
+#: Domain prefix of :func:`derive_bytes` paths (none for seed paths).
+_BYTES_DOMAIN = b"bytes:"
+
+
+def _label(item: object) -> bytes:
+    """One context item's encoding on a derivation path, as
+    :func:`_context_hasher` hashes it."""
+    return b"\x00" + repr(item).encode()
+
+
+def _context_hasher(root_seed: int, *context: object, domain: bytes = b""):
     """The canonical hash state of a ``(root_seed, context)`` path.
 
-    Single source of truth for the derivation-tree encoding: both the
-    scalar :func:`derive_seed` and the batched
-    :func:`gather_standard_normals` pass (which ``copy()``-branches this
+    Single source of truth for the derivation-tree encoding: the scalar
+    :func:`derive_seed` and :func:`derive_bytes` (under its ``bytes:``
+    domain) and the batched :func:`gather_standard_normals` and
+    :func:`derive_bytes_batch` passes (which ``copy()``-branch this
     state per suffix) hash identically by construction.
     """
-    hasher = hashlib.sha256()
+    hasher = hashlib.sha256(domain)
     hasher.update(str(int(root_seed)).encode())
     for item in context:
         hasher.update(b"\x00")
@@ -367,7 +379,7 @@ def gather_standard_normals(rows, suffixes) -> "np.ndarray":
             out[i] = [derive_rng(root_seed, *prefix, suffix).standard_normal()
                       for suffix in suffixes]
         return out
-    labels = [b"\x00" + repr(suffix).encode() for suffix in suffixes]
+    labels = [_label(suffix) for suffix in suffixes]
     digests = _lane_digests(rows, labels)
     flat = out.reshape(-1)
     for start in range(0, flat.size, _NORMALS_CHUNK_LANES):
@@ -414,6 +426,11 @@ def derived_generators(seeds):
         yield generator
 
 
+def _check_digest_width(n_bytes: int) -> None:
+    if not 0 <= n_bytes <= 32:
+        raise ValueError("derive_bytes serves at most one digest (32 bytes)")
+
+
 def derive_bytes(n_bytes: int, root_seed: int, *context: object) -> bytes:
     """Derive up to 32 context-bound bytes from the same hash tree.
 
@@ -423,11 +440,25 @@ def derive_bytes(n_bytes: int, root_seed: int, *context: object) -> bytes:
     Distinct contexts give independent bytes; identical contexts always
     give the same bytes.
     """
-    if not 0 <= n_bytes <= 32:
-        raise ValueError("derive_bytes serves at most one digest (32 bytes)")
-    hasher = hashlib.sha256(b"bytes:")
-    hasher.update(str(int(root_seed)).encode())
-    for item in context:
-        hasher.update(b"\x00")
-        hasher.update(repr(item).encode())
-    return hasher.digest()[:n_bytes]
+    _check_digest_width(n_bytes)
+    return _context_hasher(root_seed, *context,
+                           domain=_BYTES_DOMAIN).digest()[:n_bytes]
+
+
+def derive_bytes_batch(n_bytes: int, root_seed: int, prefix: tuple,
+                       suffixes) -> List[bytes]:
+    """:func:`derive_bytes` of many paths that share a prefix, in one pass.
+
+    Element ``i`` equals ``derive_bytes(n_bytes, root_seed, *prefix,
+    suffixes[i])`` byte for byte: the prefix is hashed once and its
+    state copied per suffix.  A fleet round's nonces are one call:
+    ``(seed, "fleet-nonce", stream epoch)`` plus one counter each.
+    """
+    _check_digest_width(n_bytes)
+    hasher = _context_hasher(root_seed, *prefix, domain=_BYTES_DOMAIN)
+    derived = []
+    for suffix in suffixes:
+        branch = hasher.copy()
+        branch.update(_label(suffix))
+        derived.append(branch.digest()[:n_bytes])
+    return derived

@@ -452,6 +452,7 @@ class TestRoundCallCounts:
         monkeypatch.setattr(FleetRegistry, "record", counting)
         report = verifier.authenticate_fleet(devices)
         assert report.n_accepted == len(devices)
-        # open_round, the verification stage and the roll: one each.
-        assert len(reads) == 3 * len(devices)
+        # The verification stage reads each record once; open_round
+        # screens by membership and the roll reads none.
+        assert reads == [device.device_id for device in devices]
         assert len(verifier.commit_log) == 0

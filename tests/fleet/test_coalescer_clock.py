@@ -20,6 +20,7 @@ import pytest
 from repro.fleet import RoundCoalescer
 from repro.service import AuthService, FleetConfig, ServicePolicy
 from repro.service.net import AuthClient, AuthServer
+from tests.asyncio_guard import no_asyncio_errors  # noqa: F401
 
 CONFIG = dict(challenge_bits=32, n_stages=4, response_bits=16)
 BUDGET = 5.0

@@ -34,6 +34,7 @@ from repro.service.net import (
 from repro.service.net.chaos import ChaosMetrics
 from repro.service.net.server import ServerMetrics
 from repro.service.policy import AuditLogPolicy
+from tests.asyncio_guard import no_asyncio_errors  # noqa: F401
 
 FAST_PUF = dict(challenge_bits=32, n_stages=4, response_bits=16)
 FAST_NET = NetConfig(response_timeout_s=2.0)

@@ -24,6 +24,7 @@ from repro.obs import (
 )
 from repro.service import AuthService, FleetConfig, RateLimitPolicy
 from repro.service.net import AuthClient, AuthServer
+from tests.asyncio_guard import no_asyncio_errors  # noqa: F401
 
 FAST_PUF = dict(challenge_bits=32, n_stages=4, response_bits=16)
 

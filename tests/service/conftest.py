@@ -1,39 +1,4 @@
-"""Fail a service test after which the ``asyncio`` logger recorded an
-ERROR.
+"""Every service test runs under the asyncio-error guard
+(``tests/asyncio_guard.py``)."""
 
-A server handler task that dies logs "Task exception was never
-retrieved", and a future whose exception nobody awaits logs "Future
-exception was never retrieved", both only when the object is collected.
-The guard collects garbage after each test, so either fails the test
-that caused it.
-"""
-
-import gc
-import logging
-
-import pytest
-
-
-class _Errors(logging.Handler):
-    def __init__(self):
-        super().__init__(logging.ERROR)
-        self.records = []
-
-    def emit(self, record):
-        self.records.append(record)
-
-
-@pytest.fixture(autouse=True)
-def no_asyncio_errors():
-    errors = _Errors()
-    logger = logging.getLogger("asyncio")
-    logger.addHandler(errors)
-    try:
-        yield
-        gc.collect()
-    finally:
-        logger.removeHandler(errors)
-    if errors.records:
-        pytest.fail("the asyncio logger recorded errors:\n"
-                    + "\n".join(map(errors.format, errors.records)),
-                    pytrace=False)
+from tests.asyncio_guard import no_asyncio_errors  # noqa: F401

@@ -19,6 +19,7 @@ from repro.service import (
     SessionHello,
     SessionReject,
     SessionRequest,
+    SessionResult,
     SessionWelcome,
     decode_message,
     encode_message,
@@ -644,6 +645,55 @@ class TestClientLeavesNoUnretrievedErrors:
 
         assert run(main()).kind is FailureKind.CONNECTION_LOST
         assert self.asyncio_errors(caplog) == []
+
+
+class TestLostAnswer:
+    def test_a_timed_out_call_ends_the_connection(self):
+        # Answers carry no request id: after a lost one the connection
+        # cannot tell a late answer from a lost one.  The server below
+        # drops only the first poll RESULT; the call that missed it
+        # times out, and the next one raises at once instead of
+        # waiting out a timeout of its own.
+        async def main():
+            hung_up = asyncio.Event()
+
+            async def lossy_server(reader, writer):
+                await read_frame(reader)           # the HELLO
+                write_frame(writer, encode_message(
+                    SessionWelcome("lossy-server")))
+                await writer.drain()
+                polls = 0
+                while await read_frame(reader) is not None:
+                    polls += 1
+                    if polls > 1:
+                        write_frame(writer, encode_message(SessionResult(
+                            "poll", detail={"flushed": b"0"})))
+                        await writer.drain()
+                writer.close()
+                hung_up.set()
+
+            server = await asyncio.start_server(lossy_server, "127.0.0.1", 0)
+            loop = asyncio.get_running_loop()
+            try:
+                client = await AuthClient.connect(
+                    "127.0.0.1", server.sockets[0].getsockname()[1],
+                    response_timeout_s=0.3)
+                with pytest.raises(asyncio.TimeoutError):
+                    await client.poll()
+                started = loop.time()
+                with pytest.raises(RemoteAuthError) as excinfo:
+                    await client.poll()
+                waited = loop.time() - started
+                await client.aclose()
+                await asyncio.wait_for(hung_up.wait(), 10)
+            finally:
+                server.close()
+                await server.wait_closed()
+            return excinfo.value, waited
+
+        error, waited = run(main())
+        assert error.kind is FailureKind.TIMEOUT
+        assert waited < 0.3
 
 
 class TestRestore:

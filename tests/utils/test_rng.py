@@ -60,6 +60,23 @@ class TestDeriveBytes:
             derive_bytes(33, 7)
         assert derive_bytes(0, 7) == b""
 
+    def test_batch_matches_per_path_bytes(self):
+        import pytest
+
+        from repro.utils.rng import derive_bytes, derive_bytes_batch
+
+        suffixes = list(range(5)) + [2 ** 70, "x", (1, "y")]
+        for n_bytes in (0, 16, 32):
+            assert derive_bytes_batch(
+                n_bytes, 41, ("fleet-nonce", 3), suffixes) == [
+                derive_bytes(n_bytes, 41, "fleet-nonce", 3, suffix)
+                for suffix in suffixes]
+        assert derive_bytes_batch(16, 41, (), [7]) == \
+            [derive_bytes(16, 41, 7)]
+        assert derive_bytes_batch(16, 41, ("fleet-nonce",), []) == []
+        with pytest.raises(ValueError):
+            derive_bytes_batch(33, 7, (), [0])
+
 
 class TestDeriveStandardNormalsBatch:
     def test_matches_per_stream_draws(self):
