@@ -48,7 +48,7 @@ from repro.puf import (
 )
 from repro.system import DeviceSoC, SoCConfig
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 __all__ = [
     "provision",

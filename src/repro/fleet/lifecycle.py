@@ -38,7 +38,7 @@ from __future__ import annotations
 import bisect
 import time
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -328,6 +328,8 @@ class FleetSimulator:
         self._device_factory = device_factory
         self._churn_counter = 0
         self._round_index = 0
+        # The in-process acks of the current attempt, settled together.
+        self._acks: List[Tuple[str, None, str]] = []
 
     @property
     def registry(self) -> FleetRegistry:
@@ -398,6 +400,9 @@ class FleetSimulator:
     # sockets, tests/service/test_net_equality.py) can reroute them over
     # a wire while the fault/adversary RNG draw sequence — which lives
     # entirely in _attempt — stays bit-identical to the in-process path.
+    # In process, finalize and abort queue their acks, and _attempt
+    # settles the queue after its loop in one registry transaction, so a
+    # journaling backend writes the attempt's rolls once.
 
     def _transport_open_round(self, ids: List[str]) -> Dict[str, bytes]:
         return self.verifier.open_round(ids)
@@ -407,10 +412,10 @@ class FleetSimulator:
         return self.verifier.verify_round(messages, nonces)
 
     def _transport_finalize(self, device_id: str) -> None:
-        self.verifier.finalize(device_id)
+        self._acks.append((device_id, None, "finalize"))
 
     def _transport_abort(self, device_id: str) -> None:
-        self.verifier.abort(device_id)
+        self._acks.append((device_id, None, "abort"))
 
     def _attempt(self, ids: List[str], rng: np.random.Generator,
                  outcome: RoundOutcome) -> Set[str]:
@@ -460,24 +465,34 @@ class FleetSimulator:
         for kind in report.failure_kinds.values():
             self.stats.count_failure(kind)
         authenticated: Set[str] = set()
-        for device_id, confirmation in report.confirmations.items():
-            if rng.random() < faults.confirmation_drop:
-                # Delivery timed out after the verifier already accepted
-                # the response — the exact ordering that desynchronizes a
-                # naive verifier.  Abort keeps both sides on the old CRP.
-                self.stats.dropped_confirmations += 1
-                self._transport_abort(device_id)
-                continue
-            try:
-                device_of(device_id).confirm(confirmation,
-                                             nonces[device_id])
-            except AuthenticationFailure as failure:
-                self.stats.count_failure(failure.kind.value)
-                self._transport_abort(device_id)
-                continue
-            self._transport_finalize(device_id)
-            authenticated.add(device_id)
-            self.stats.authenticated += 1
+        try:
+            for device_id, confirmation in report.confirmations.items():
+                if rng.random() < faults.confirmation_drop:
+                    # Delivery timed out after the verifier already accepted
+                    # the response — the exact ordering that desynchronizes a
+                    # naive verifier.  Abort keeps both sides on the old CRP.
+                    self.stats.dropped_confirmations += 1
+                    self._transport_abort(device_id)
+                    continue
+                try:
+                    device_of(device_id).confirm(confirmation,
+                                                 nonces[device_id])
+                except AuthenticationFailure as failure:
+                    self.stats.count_failure(failure.kind.value)
+                    self._transport_abort(device_id)
+                    continue
+                self._transport_finalize(device_id)
+                authenticated.add(device_id)
+                self.stats.authenticated += 1
+        finally:
+            # Settle what the loop queued even if it raised, as
+            # direct finalizes would already have applied it.
+            acks, self._acks = self._acks, []
+            refused = self.verifier.settle(acks) if acks else []
+        if refused:
+            # Only an ack without a pending session is refused; raise it
+            # as a direct finalize would.
+            raise refused[0][1]
         # Wiretap for the replay adversary: traffic becomes capturable
         # only after the attempt, so replays are genuinely stale.
         self._captured = (self._captured + fresh)[-self.capture_window:]

@@ -604,16 +604,18 @@ class BatchVerifier:
             valid.append(index)
         if not valid:
             return
-        # Vectorized unmasking over the whole round: r_{i+1} = m XOR r_i.
+        # r_{i+1} = m XOR r_i: one XOR over the round's matrix, or one
+        # per row when the record widths are ragged.
         if isinstance(stored, np.ndarray):
             stored = stored[valid]
+            new_responses = np.bitwise_xor(
+                np.array([masked[index] for index in valid], dtype=np.uint8),
+                stored,
+            )
         else:
-            stored = np.vstack([stored[index]
-                                for index in valid]).astype(np.uint8)
-        new_responses = np.bitwise_xor(
-            np.array([masked[index] for index in valid], dtype=np.uint8),
-            stored,
-        )
+            stored = [stored[index] for index in valid]
+            new_responses = [np.bitwise_xor(masked[index], row)
+                             for index, row in zip(valid, stored)]
         accepted = [candidates[index] for index in valid]
         # The confirmation MAC proves knowledge of c_{i+1}; gather every
         # accepted device's derivation into one batched DRBG expansion,

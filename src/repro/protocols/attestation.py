@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.crypto.drbg import HmacDrbg
+from repro.crypto.drbg import HmacDrbg, generate_once
 from repro.puf.base import PUFEnvironment
 from repro.system.cpu import ProcessorModel
 from repro.system.memory import DeviceMemory, RelocatingCompromisedMemory
@@ -63,8 +63,8 @@ def _walk_order(seed_response: BitArray, timestamp: int, n_chunks: int) -> list:
 
 def _response_to_challenge(response: BitArray, challenge_bits: int) -> BitArray:
     """r_i -> next challenge (width adaptation via DRBG expansion)."""
-    drbg = HmacDrbg(_pad_bits(response), personalization=b"attestation-chain")
-    raw = drbg.generate(math.ceil(challenge_bits / 8))
+    raw = generate_once(_pad_bits(response), math.ceil(challenge_bits / 8),
+                        personalization=b"attestation-chain")
     return bits_from_bytes(raw)[:challenge_bits]
 
 

@@ -24,16 +24,14 @@ against CRP-database schemes (Suh et al. [16]) that the paper makes;
 
 from __future__ import annotations
 
-import hashlib
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.crypto.drbg import HmacDrbg
+from repro.crypto.drbg import generate_once
 from repro.crypto.mac import mac as compute_mac
 from repro.crypto.mac import mac_batch, verify_mac
 from repro.system.channel import Channel
@@ -123,36 +121,14 @@ def pad_bits_batch(rows) -> List[bytes]:
     return [row.tobytes() for row in packed]
 
 
-# SHA-256(packed response) + n_bytes -> DRBG expansion.  The verifier
-# re-derives c_{i+1} from the same stored response the device derived it
-# from, so every accepted session computes the identical expansion twice
-# per round; memoizing the (deterministic) map halves that cost.  The
-# cache key is a *hash* of the rolling secret, never the secret itself —
-# a heap dump of a long-lived verifier must not surface thousands of
-# current and rolled r_i values.  LRU-bounded so a verifier rolling
-# through millions of sessions stays flat — rolled responses never
-# recur, dead entries age out.
-_CHALLENGE_CACHE_MAX = 8192
-_challenge_cache: "OrderedDict[tuple, bytes]" = OrderedDict()
-
-
-def _derive_challenge_bytes(packed: bytes, n_bytes: int) -> bytes:
-    key = (hashlib.sha256(b"chal:" + packed).digest(), n_bytes)
-    cached = _challenge_cache.get(key)
-    if cached is not None:
-        _challenge_cache.move_to_end(key)
-        return cached
-    raw = HmacDrbg(packed,
-                   personalization=b"hsc-iot-challenge").generate(n_bytes)
-    _challenge_cache[key] = raw
-    if len(_challenge_cache) > _CHALLENGE_CACHE_MAX:
-        _challenge_cache.popitem(last=False)
-    return raw
+# The DRBG personalization string of c_{i+1} = RNG(r_i).
+_CHALLENGE_PERSONALIZATION = b"hsc-iot-challenge"
 
 
 def derive_challenge(response: BitArray, n_bits: int) -> BitArray:
     """c_{i+1} = RNG(r_i): expand the current response through the DRBG."""
-    raw = _derive_challenge_bytes(_pad_bits(response), math.ceil(n_bits / 8))
+    raw = generate_once(_pad_bits(response), math.ceil(n_bits / 8),
+                        _CHALLENGE_PERSONALIZATION)
     return bits_from_bytes(raw)[:n_bits]
 
 
@@ -164,21 +140,24 @@ def derive_challenge_batch(responses, n_bits: int,
     ``responses`` is ``(n_devices, response_bits)`` (one current response
     per row); returns the ``(n_devices, n_bits)`` stacked next challenges.
     Each row's DRBG stream is identical to :func:`derive_challenge` — the
-    DRBG keying is inherently per-secret — while the packing of the
-    response rows and the expansion of the output bytes into challenge
-    bits run vectorized over the whole round.  This is the gather step
-    that lets the fleet verifier run one stacked tensor pass for every
-    device's fresh measurement.  ``packed`` is the rows already packed
-    (``np.packbits`` of each row, as bytes), for a caller that packed
-    them once for its MAC keys too.
+    DRBG keying is inherently per-secret, one
+    :func:`~repro.crypto.drbg.generate_once` per row — while the packing
+    of the response rows and the expansion of the output bytes into
+    challenge bits run vectorized over the whole round.  This is the
+    gather step that lets the fleet verifier run one stacked tensor pass
+    for every device's fresh measurement.  ``packed`` is the rows
+    already packed (``np.packbits`` of each row, as bytes), for a caller
+    that packed them once for its MAC keys too; ``responses`` is then
+    not read, so its rows may differ in width.
     """
-    matrix = np.atleast_2d(np.asarray(responses, dtype=np.uint8))
     n_bytes = math.ceil(n_bits / 8)
     if packed is None:
+        matrix = np.atleast_2d(np.asarray(responses, dtype=np.uint8))
         packed = [row.tobytes() for row in np.packbits(matrix, axis=1)]
-    raw = b"".join(_derive_challenge_bytes(row, n_bytes) for row in packed)
+    raw = b"".join([generate_once(row, n_bytes, _CHALLENGE_PERSONALIZATION)
+                    for row in packed])
     bits = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(matrix.shape[0], n_bytes),
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(packed), n_bytes),
         axis=1,
     )
     return bits[:, :n_bits]

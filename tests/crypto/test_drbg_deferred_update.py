@@ -1,8 +1,9 @@
 """HMAC-DRBG defers each generate's closing update to the next call.
 
 Only a later ``generate`` or ``reseed`` reads that update, and
-``c_{i+1} = RNG(r_i)`` draws once from a fresh generator, so a round's
-challenge derivation never computes it.  The stream stays SP 800-90A's:
+``c_{i+1} = RNG(r_i)`` draws once from a fresh generator
+(:func:`repro.crypto.drbg.generate_once`), so a round's challenge
+derivation never computes it.  The stream stays SP 800-90A's:
 ``tests/crypto/test_mac_kdf_drbg.py`` checks it against a stdlib-built
 reference, and so does the batch check below.
 """
@@ -10,7 +11,6 @@ reference, and so does the batch check below.
 import numpy as np
 
 from repro.crypto import drbg as drbg_mod
-from repro.protocols import mutual_auth
 from repro.protocols.mutual_auth import derive_challenge_batch
 from tests.crypto.test_mac_kdf_drbg import ReferenceHmacDrbg
 
@@ -22,7 +22,7 @@ def distinct_responses(n_rows: int, n_bits: int = 32) -> np.ndarray:
 
 
 def test_challenge_batch_skips_the_unread_updates(monkeypatch):
-    calls = {"hmac_with_states": 0, "hmac_key_states": 0}
+    calls = {"_update": 0, "hmac_key_states": 0}
     for name in calls:
         original = getattr(drbg_mod, name)
 
@@ -31,13 +31,12 @@ def test_challenge_batch_skips_the_unread_updates(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(drbg_mod, name, counted)
-    monkeypatch.setattr(mutual_auth, "_challenge_cache",
-                        type(mutual_auth._challenge_cache)())
     responses = distinct_responses(256)
     challenges = derive_challenge_batch(responses, 64)
-    # Per row: instantiation (4 HMACs, 2 key schedules) and one output
-    # block; the closing update (2 HMACs, 1 key schedule) never runs.
-    assert calls == {"hmac_with_states": 256 * 5, "hmac_key_states": 256 * 2}
+    # Per row: the instantiate's Update, whose two halves key K twice;
+    # the closing update, which would be a second Update keying K a
+    # third time, never runs.
+    assert calls == {"_update": 256, "hmac_key_states": 256 * 2}
     packed = np.packbits(responses, axis=1)
     expected = np.unpackbits(np.frombuffer(b"".join(
         ReferenceHmacDrbg(row.tobytes(), b"hsc-iot-challenge").generate(8)

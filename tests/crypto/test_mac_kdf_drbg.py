@@ -1,10 +1,20 @@
 """Tests for HMAC, HKDF, and HMAC-DRBG (with RFC test vectors)."""
 
+import hashlib
+import hmac
+
 import pytest
 
-from repro.crypto.drbg import HmacDrbg
+from repro.crypto.drbg import HmacDrbg, generate_once
 from repro.crypto.kdf import hkdf, hkdf_expand, hkdf_extract
-from repro.crypto.mac import hmac_sha256, mac, sha256, verify_mac
+from repro.crypto.mac import (
+    hmac_key_states,
+    hmac_sha256,
+    hmac_with_states,
+    mac,
+    sha256,
+    verify_mac,
+)
 
 
 class TestHmac:
@@ -53,6 +63,24 @@ class TestHmac:
         assert sha256(b"abc").hex() == (
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         )
+
+    @pytest.mark.parametrize("key_length", (0, 1, 4, 32, 64, 65, 128))
+    def test_key_states_match_stdlib_hmac(self, key_length):
+        # The translate-table pads, for keys shorter than, equal to and
+        # longer than the 64-byte block.
+        key = bytes((5 * index + 11) % 256 for index in range(key_length))
+        states = hmac_key_states(key)
+        for message in (b"", b"abc", bytes(range(256)) * 3):
+            assert hmac_with_states(states, message) == hmac.new(
+                key, message, hashlib.sha256).digest()
+        # Each preloaded state is the SHA-256 of its padded key block.
+        block = (hashlib.sha256(key).digest() if key_length > 64
+                 else key).ljust(64, b"\x00")
+        inner, outer = states
+        assert inner.copy().digest() == hashlib.sha256(
+            bytes(byte ^ 0x36 for byte in block)).digest()
+        assert outer.copy().digest() == hashlib.sha256(
+            bytes(byte ^ 0x5C for byte in block)).digest()
 
 
 class TestHkdf:
@@ -107,6 +135,8 @@ class TestDrbg:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             HmacDrbg(b"s").generate(-1)
+        with pytest.raises(ValueError):
+            generate_once(b"s", -1)
 
     def test_randint_below_range(self):
         drbg = HmacDrbg(b"seed")
@@ -212,16 +242,32 @@ class ReferenceHmacDrbg:
                 return candidate % bound
 
 
+def seed_of(length: int) -> bytes:
+    return bytes((7 * index + 3) % 256 for index in range(length))
+
+
 class TestDrbgKnownAnswers:
-    """HmacDrbg byte for byte against the stdlib-built reference."""
+    """HmacDrbg and the one-shot draw byte for byte against the
+    stdlib-built reference."""
 
     @pytest.mark.parametrize("seed, personalization", [
         (b"seed", b""),
         (b"seed", b"hsc-iot-challenge"),
         (bytes(range(256)), b"p" * 70),
         (b"", b""),
+    ] + [
+        # Seed material on both sides of the SHA-256 block boundaries;
+        # empty seed material runs only the Update's first half.
+        pytest.param(seed_of(length), personalization,
+                     id=f"seed{length}-pers{len(personalization)}")
+        for length in (0, 1, 4, 32, 55, 56, 64, 65, 200)
+        for personalization in (b"", b"hsc-iot-challenge", bytes(range(70)))
     ])
     def test_instantiate_and_generate(self, seed, personalization):
+        for n_bytes in (0, 1, 8, 32, 33, 100):
+            assert generate_once(seed, n_bytes, personalization) == \
+                HmacDrbg(seed, personalization).generate(n_bytes) == \
+                ReferenceHmacDrbg(seed, personalization).generate(n_bytes)
         ours = HmacDrbg(seed, personalization)
         reference = ReferenceHmacDrbg(seed, personalization)
         # One block, several blocks, a partial block, nothing, repeats.
@@ -278,7 +324,6 @@ class TestChallengeDerivation:
         from repro.protocols import mutual_auth
 
         bits = np.array([int(bit) for bit in response], dtype=np.uint8)
-        mutual_auth._challenge_cache.clear()
         challenge = mutual_auth.derive_challenge(bits, n_bits)
         assert challenge.size == n_bits
         assert np.packbits(challenge).tobytes().hex() == expected
@@ -293,13 +338,11 @@ class TestChallengeDerivation:
         mac_module = importlib.import_module("repro.crypto.mac")
         mac_module.mac(b"warm", b"live session key")
         before = list(mac_module._state_cache.items())
-        mutual_auth._challenge_cache.clear()
         responses = np.random.default_rng(5).integers(
             0, 2, (256, 32)).astype(np.uint8)
         challenges = mutual_auth.derive_challenge_batch(responses, 64)
         assert list(mac_module._state_cache.items()) == before
         for row in (0, 97, 255):
-            mutual_auth._challenge_cache.clear()
             assert np.array_equal(
                 challenges[row],
                 mutual_auth.derive_challenge(responses[row], 64))

@@ -441,3 +441,68 @@ def test_clock_band_is_exact_past_2_53():
         assert bool(live[0]) is accepted
         if not accepted:
             assert live[2] == [("dev-g", FailureKind.CLOCK_ANOMALY.value)]
+
+
+# -- mixed record widths ---------------------------------------------------------
+
+def mixed_width_registry(widths) -> FleetRegistry:
+    """One record per ``(device id, response bits, challenge bits)``."""
+    registry = FleetRegistry()
+    rng = np.random.default_rng(9)
+    for device_id, response_bits, challenge_bits in widths:
+        registry.backend.put(DeviceRecord(
+            device_id=device_id,
+            challenge_bits=challenge_bits,
+            current_response=rng.integers(0, 2, response_bits,
+                                          dtype=np.uint8),
+            firmware_hash=hashlib.sha256(device_id.encode()).digest(),
+            expected_clock_count=100_000,
+            crp_challenges=np.zeros((0, challenge_bits), dtype=np.uint8),
+            crp_responses=np.zeros((0, response_bits), dtype=np.uint8),
+            crp_used=np.zeros(0, dtype=bool),
+            sessions=3,
+        ))
+    return registry
+
+
+def honest_message(registry: FleetRegistry, device_id: str) -> AuthResponse:
+    record = registry.record(device_id)
+    fresh = np.resize(np.array([1, 0, 0, 1, 1], dtype=np.uint8),
+                      record.current_response.size)
+    body = encode_fields([
+        record.sessions.to_bytes(4, "big"),
+        _pad_bits(record.current_response ^ fresh),
+        mask_integrity(record.firmware_hash, record.expected_clock_count),
+        nonce_of(device_id),
+    ])
+    return AuthResponse(device_id, body,
+                        mac(body, _pad_bits(record.current_response)))
+
+
+@pytest.mark.parametrize("widths", [
+    # 16 and 32 response bits under one challenge width ...
+    [("dev-16", 16, 64), ("dev-32", 32, 64)],
+    # ... and under two, with a uniform-width pair beside them.
+    [("dev-16", 16, 40), ("dev-32", 32, 64), ("dev-32b", 32, 64)],
+])
+def test_mixed_response_widths_verify_as_each_alone(widths):
+    ids = [device_id for device_id, __, __ in widths]
+    nonces = {device_id: nonce_of(device_id) for device_id in ids}
+    registry = mixed_width_registry(widths)
+    together = BatchVerifier(registry)
+    report = together.verify_round(
+        [honest_message(registry, device_id) for device_id in ids], nonces)
+    assert list(report.confirmations) == ids
+    assert not report.failures
+    live = verifier_state(together, report)
+    for index, device_id in enumerate(ids):
+        registry = mixed_width_registry(widths)
+        alone = BatchVerifier(registry)
+        single = alone.verify_round([honest_message(registry, device_id)],
+                                    nonces)
+        state = verifier_state(alone, single)
+        # Each state part holds this device's one entry.
+        assert state[0] == [live[0][index]]
+        assert state[3] == [live[3][index]]
+        assert state[4] == [live[4][index]]
+        assert state[5] == {device_id: live[5][device_id]}

@@ -12,11 +12,13 @@ import pytest
 from repro.fleet import (
     CorruptionAdversary,
     FaultModel,
+    FleetDevice,
     FleetSimulator,
     ReplayAdversary,
     TamperAdversary,
     photonic_device_factory,
 )
+from repro.fleet.storage import ShardedFileBackend
 from repro.obs import instrument_service, parse_prometheus, render_prometheus
 from repro.protocols.mutual_auth import FailureKind
 from repro.service import AuditLogPolicy, AuthService, FleetConfig
@@ -293,3 +295,70 @@ class TestServiceOwnsVerifierState:
         assert stats.restores == 1
         assert scrape_of(obs)[("repro_auth_finalized_total", ())] == \
             stats.authenticated == 64
+
+
+class TestAttemptJournal:
+    """An attempt's acks settle in one registry transaction: a sharded
+    registry journals all of an attempt's rolls in one WAL write."""
+
+    @pytest.mark.parametrize("faults", [
+        FaultModel(),
+        FaultModel(confirmation_drop=0.3, max_retries=4),
+    ])
+    def test_one_wal_write_per_attempt(self, faults, tmp_path, monkeypatch):
+        service = AuthService.provision(FleetConfig(
+            n_devices=16, seed=84, puf=QUIET_PUF,
+            registry_backend="sharded", storage_root=str(tmp_path)))
+        backend = service.registry.backend
+        writes = []
+        wal_write = ShardedFileBackend._wal_write
+
+        def counted(self, text):
+            if self is backend:
+                writes.append(text.count("\n"))
+            return wal_write(self, text)
+
+        monkeypatch.setattr(ShardedFileBackend, "_wal_write", counted)
+        simulator = service.simulator(faults=faults)
+        finalized = []
+        attempt = simulator._attempt
+
+        def counted_attempt(*args):
+            authenticated = attempt(*args)
+            finalized.append(len(authenticated))
+            return authenticated
+
+        simulator._attempt = counted_attempt
+        try:
+            stats = simulator.run_campaign(1)
+            assert stats.authenticated == 16
+            # One write per attempt that rolled a device, holding its rolls.
+            assert writes == [count for count in finalized if count]
+        finally:
+            service.close()
+        if faults.confirmation_drop:
+            assert len(finalized) > 1
+
+    def test_queued_acks_settle_when_the_loop_raises(self, monkeypatch):
+        service = AuthService.provision(FleetConfig(
+            n_devices=4, seed=84, puf=QUIET_PUF))
+        confirm = FleetDevice.confirm
+        confirmed = []
+
+        def faulty(device, confirmation, nonce):
+            if confirmed:
+                raise RuntimeError("device fault")
+            confirm(device, confirmation, nonce)
+            confirmed.append(device)
+
+        monkeypatch.setattr(FleetDevice, "confirm", faulty)
+        simulator = service.simulator()
+        with pytest.raises(RuntimeError):
+            simulator.run_campaign(1)
+        # The device that rolled before the fault rolled on both sides,
+        # and no ack is left for a later attempt.
+        (device,) = confirmed
+        assert service.registry.record(device.device_id).sessions == 1
+        assert simulator._acks == []
+        monkeypatch.setattr(FleetDevice, "confirm", confirm)
+        assert service.authenticate_batch().n_accepted == 4
